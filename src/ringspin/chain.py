@@ -98,6 +98,8 @@ class CouplingProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if not self.ratios:
             raise ValueError("coupling profile must contain at least d_1")
+        if not all(math.isfinite(r) for r in self.ratios):
+            raise ValueError(f"couplings must be finite, got {self.ratios!r}")
         if self.ratios[0] != 1.0:
             raise ValueError(f"d_1 must equal 1 exactly, got {self.ratios[0]!r}")
         if self.kind == "dipolar" and any(r <= 0.0 for r in self.ratios):

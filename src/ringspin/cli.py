@@ -69,7 +69,7 @@ def _emit(tables: list[Table], fmt: str, out: str | None) -> None:
             }
             for t in tables
         }
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload, indent=2, allow_nan=False)
         if out:
             Path(out).write_text(text + "\n")
         else:
@@ -383,12 +383,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         result = args.func(args)
+        if isinstance(result, int):
+            return result
+        _emit(result, args.format, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, int):
-        return result
-    _emit(result, args.format, args.out)
     return 0
 
 

@@ -1,36 +1,41 @@
 """Window-averaged transfer probabilities and truncation-error integrals.
 
-Amplitudes on the ring are finite trigonometric polynomials in tau, so every
-time average over [0, T] has a closed form: for real spectral weights c_a
-attached to frequencies nu_a,
+From site 1 the amplitude to site n = s+1 is a finite cosine sum over the
+retained modes a, with wave numbers p_a = 2 pi k_a / N (k_a = a-1) and
+g_a = multiplicity_a / N:
 
-    integral_0^T |sum_a c_a e^{-i nu_a tau}|^2 dtau
-        = sum_{a,b} c_a c_b K(nu_a - nu_b),
-    K(delta) = T            if |delta| <= DEGENERACY_TOL
-             = sin(delta T) / delta   otherwise.
+    p_{1,s+1}(tau) = sum_a c_a(s) e^{-i lam_a tau},   c_a(s) = g_a cos(p_a s).
 
-This module computes, per truncation radius M:
+So every window integral over [0, T] is a closed-form quadratic form,
 
-  * the window-averaged transfer probability from site 1 to a target site,
-  * the relative L2 deviation of the truncated amplitude from the all-node
-    amplitude over the window (the truncation error of transfer 1 -> n),
-  * its parity-weighted average over the independent targets, and
-  * the smallest M from which the worst-case error stays below a tolerance.
+    integral_0^T |p_{1,s+1}|^2 dtau = sum_{a,b} c_a(s) c_b(s) K_ab,
+    K_ab = sin((lam_a - lam_b) T) / (lam_a - lam_b),  or T when degenerate.
 
-Mirror symmetry makes targets n and N+2-n equivalent, so only
-n = 1..max_neighbors+1 are computed; the parity weights restore the full-ring
-average.  Closed-form integration is the production path; composite-Simpson
-quadrature exists only as a cross-check (see `oracle`).
+The fold cos A cos B = [cos(A-B) + cos(A+B)] / 2 turns it into a function of
+the mode-index offsets (k_a - k_b) mod N and (k_a + k_b) mod N: summing
+g_a g_b K_ab / 2 over both offsets into a length-N histogram h, the form for
+every target s = 0..N/2 is Re sum_r h_r e^{-2 pi i r s / N}, one real FFT.
+That is O(N^2) per radius and O(N^3) per (M, target) map.
+
+The truncation error of transfer 1 -> n at radius M is the relative L2
+deviation sqrt(int |p - p_ref|^2 / int |p_ref|^2) from the all-node
+amplitude; its numerator is the fold of
+K(lam, lam) + K(lam_ref, lam_ref) - 2 K(lam, lam_ref).  Mirror symmetry makes
+targets n and N+2-n equivalent, so only n = 1..max_neighbors+1 are computed;
+parity weights restore the full-ring average.  The scalar metrics are views
+on the same kernel; composite-Simpson quadrature is only a cross-check (see
+`oracle`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainSpec, CouplingProfile, max_neighbors
-from .spectral import mode_eigenvalues, pair_mode_weights
+from .spectral import eigenvalue_table, mode_count, mode_eigenvalues, mode_multiplicities
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -60,8 +65,8 @@ class TimeWindow:
     t_max: float
 
     def __post_init__(self):
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max!r}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
 
     @classmethod
     def matched(cls, nodes: int) -> "TimeWindow":
@@ -84,8 +89,9 @@ def target_multiplicities(nodes: int) -> np.ndarray:
     return mult
 
 
-def _frequency_kernel(freqs: np.ndarray, t_max: float) -> np.ndarray:
-    delta = freqs[:, None] - freqs[None, :]
+def _window_kernel(lam_a: np.ndarray, lam_b: np.ndarray, t_max: float) -> np.ndarray:
+    """K_ab = Re integral_0^T e^{-i (lam_a - lam_b) tau} dtau."""
+    delta = lam_a[:, None] - lam_b[None, :]
     near = np.abs(delta) <= DEGENERACY_TOL
     safe = np.where(near, 1.0, delta)
     return np.where(near, t_max, np.sin(delta * t_max) / safe)
@@ -101,49 +107,67 @@ def trig_power_integral(coeffs, freqs, t_max: float) -> float:
     nu = np.asarray(freqs, dtype=float)
     if c.shape != nu.shape or c.ndim != 1:
         raise ValueError("coeffs and freqs must be 1-D arrays of equal length")
-    value = float(c @ _frequency_kernel(nu, t_max) @ c)
+    value = float(c @ _window_kernel(nu, nu, t_max) @ c)
     return max(value, 0.0)
 
 
-def _quad_forms(W: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Row-wise w K w^T for a stack of weight vectors."""
-    return np.maximum(np.einsum("tm,mn,tn->t", W, kernel, W), 0.0)
+def _target_fold(nodes: int):
+    """Map a mode kernel K to sum_ab c_a(s) c_b(s) K_ab for every independent
+    target s = 0..N//2, by the offset fold of the module docstring."""
+    k = np.arange(mode_count(nodes))
+    g = mode_multiplicities(nodes) / nodes
+    half_gg = 0.5 * np.outer(g, g)
+    diff = ((k[:, None] - k[None, :]) % nodes).ravel()
+    total = ((k[:, None] + k[None, :]) % nodes).ravel()
+
+    def fold(kernel: np.ndarray) -> np.ndarray:
+        w = (half_gg * kernel).ravel()
+        h = np.bincount(diff, w, nodes) + np.bincount(total, w, nodes)
+        return np.fft.rfft(h).real
+
+    return fold
 
 
-def _target_weight_matrix(nodes: int, targets) -> np.ndarray:
-    return np.stack([pair_mode_weights(nodes, 1, t) for t in targets])
+def _mode_probabilities(nodes: int, lam_rows: np.ndarray, t_max: float) -> np.ndarray:
+    """Window-averaged probabilities 1 -> n (columns: independent targets)
+    for each row of mode eigenvalues."""
+    fold = _target_fold(nodes)
+    forms = np.array([fold(_window_kernel(lam, lam, t_max)) for lam in lam_rows])
+    return np.maximum(forms, 0.0) / t_max
+
+
+def _mode_errors(
+    nodes: int, lam_rows: np.ndarray, lam_ref: np.ndarray, t_max: float
+) -> np.ndarray:
+    """Truncation errors (columns: independent targets) of each row of mode
+    eigenvalues against the reference spectrum lam_ref."""
+    fold = _target_fold(nodes)
+    k_ref = _window_kernel(lam_ref, lam_ref, t_max)
+    den = fold(k_ref)
+    if np.any(den <= 0.0):
+        raise ValueError("degenerate window: reference amplitude has no power")
+    num = np.array([
+        fold(_window_kernel(lam, lam, t_max) + k_ref
+             - 2.0 * _window_kernel(lam, lam_ref, t_max))
+        for lam in lam_rows
+    ])
+    return np.sqrt(np.maximum(num, 0.0) / den)
+
+
+def _target_index(nodes: int, target: int) -> int:
+    """Column of `target` in the per-target arrays, by mirror symmetry."""
+    if not 1 <= target <= nodes:
+        raise ValueError(f"target must lie in [1, {nodes}], got {target}")
+    return min(target, nodes + 2 - target) - 1
 
 
 def avg_probability(
     spec: ChainSpec, profile: CouplingProfile, target: int, window: TimeWindow
 ) -> float:
     """Transfer probability |p_{1,target}(tau)|^2 averaged over the window."""
-    if not 1 <= target <= spec.nodes:
-        raise ValueError(f"target must lie in [1, {spec.nodes}], got {target}")
-    w = pair_mode_weights(spec.nodes, 1, target)
+    i = _target_index(spec.nodes, target)
     lam = mode_eigenvalues(spec, profile)
-    return trig_power_integral(w, lam, window.t_max) / window.t_max
-
-
-def _error_from_modes(
-    weights: np.ndarray,
-    lam: np.ndarray,
-    lam_ref: np.ndarray,
-    t_max: float,
-) -> float:
-    """Relative L2 deviation between two spectra sharing one weight vector.
-
-    sqrt( int |p - p_ref|^2 / int |p_ref|^2 ); the difference is itself a
-    trig polynomial with coefficients (+w, -w) on the joined frequency list,
-    so both integrals reduce to the closed form.
-    """
-    den = trig_power_integral(weights, lam_ref, t_max)
-    if den <= 0.0:
-        raise ValueError("degenerate window: reference amplitude has no power")
-    coeffs = np.concatenate([weights, -weights])
-    freqs = np.concatenate([lam, lam_ref])
-    num = trig_power_integral(coeffs, freqs, t_max)
-    return float(np.sqrt(num / den))
+    return float(_mode_probabilities(spec.nodes, lam[None], window.t_max)[0, i])
 
 
 def truncation_error(
@@ -151,16 +175,8 @@ def truncation_error(
 ) -> float:
     """Relative L2 error of the M-truncated amplitude 1 -> target against the
     all-node dynamics over the window.  Zero when spec is untruncated."""
-    if not 1 <= target <= spec.nodes:
-        raise ValueError(f"target must lie in [1, {spec.nodes}], got {target}")
-    if len(profile) < spec.max_neighbors:
-        raise ValueError("profile must cover the full range for the reference dynamics")
-    if spec.untruncated:
-        return 0.0  # truncated and reference dynamics coincide
-    w = pair_mode_weights(spec.nodes, 1, target)
-    lam = mode_eigenvalues(spec, profile)
-    lam_ref = mode_eigenvalues(ChainSpec.all_neighbors(spec.nodes), profile)
-    return _error_from_modes(w, lam, lam_ref, window.t_max)
+    i = _target_index(spec.nodes, target)
+    return float(transfer_metrics(spec, profile, window).errors[i])
 
 
 def mean_truncation_error(
@@ -169,10 +185,7 @@ def mean_truncation_error(
     """Truncation error averaged over all N targets via mirror multiplicity:
     endpoints count once (twice for the odd-N halfway site), interior targets
     twice, total weight N."""
-    targets = independent_targets(spec.nodes)
-    errors = np.array([truncation_error(spec, profile, t, window) for t in targets])
-    mult = target_multiplicities(spec.nodes)
-    return float(mult @ errors) / spec.nodes
+    return transfer_metrics(spec, profile, window).mean_error
 
 
 @dataclass(frozen=True)
@@ -188,24 +201,18 @@ class TransferMetrics:
 def transfer_metrics(
     spec: ChainSpec, profile: CouplingProfile, window: TimeWindow
 ) -> TransferMetrics:
-    targets = independent_targets(spec.nodes)
-    W = _target_weight_matrix(spec.nodes, targets)
-    lam = mode_eigenvalues(spec, profile)
-    probs = _quad_forms(W, _frequency_kernel(lam, window.t_max)) / window.t_max
+    """Probabilities and truncation errors of every independent target at
+    one radius; the profile must cover the full range for the reference."""
+    table = eigenvalue_table(ChainSpec.all_neighbors(spec.nodes), profile)
+    lam = table[spec.neighbors - 1 : spec.neighbors]
+    probs = _mode_probabilities(spec.nodes, lam, window.t_max)[0]
     if spec.untruncated:
-        errors = np.zeros(len(targets))
+        errors = np.zeros_like(probs)  # truncated and reference dynamics coincide
     else:
-        lam_ref = mode_eigenvalues(ChainSpec.all_neighbors(spec.nodes), profile)
-        den = _quad_forms(W, _frequency_kernel(lam_ref, window.t_max))
-        if np.any(den <= 0.0):
-            raise ValueError("degenerate window: reference amplitude has no power")
-        joined = np.concatenate([lam, lam_ref])
-        C = np.concatenate([W, -W], axis=1)
-        num = _quad_forms(C, _frequency_kernel(joined, window.t_max))
-        errors = np.sqrt(num / den)
+        errors = _mode_errors(spec.nodes, lam, table[-1], window.t_max)[0]
     mult = target_multiplicities(spec.nodes)
     return TransferMetrics(
-        targets=targets,
+        targets=independent_targets(spec.nodes),
         avg_probabilities=probs,
         errors=errors,
         mean_error=float(mult @ errors) / spec.nodes,
@@ -220,14 +227,8 @@ def probability_map(
     Returns an array of shape (max_neighbors, targets): row M-1 holds the
     window-averaged probabilities 1 -> n for n in independent_targets.
     """
-    targets = independent_targets(nodes)
-    W = _target_weight_matrix(nodes, targets)
-    nf = max_neighbors(nodes)
-    out = np.empty((nf, len(targets)))
-    for m in range(1, nf + 1):
-        lam = mode_eigenvalues(ChainSpec(nodes, m), profile)
-        out[m - 1] = _quad_forms(W, _frequency_kernel(lam, window.t_max)) / window.t_max
-    return out
+    table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
+    return _mode_probabilities(nodes, table, window.t_max)
 
 
 def error_map(
@@ -236,26 +237,13 @@ def error_map(
     """Truncation errors for every radius and target.
 
     Returns (errors, means): errors has shape (max_neighbors, targets) and
-    means the parity-weighted average per radius.  The all-node reference
-    spectrum is computed once and shared.
+    means the parity-weighted average per radius.  The full-range row is
+    exactly zero, because it reproduces the reference.
     """
-    targets = independent_targets(nodes)
-    W = _target_weight_matrix(nodes, targets)
-    nf = max_neighbors(nodes)
-    lam_ref = mode_eigenvalues(ChainSpec.all_neighbors(nodes), profile)
-    den = _quad_forms(W, _frequency_kernel(lam_ref, window.t_max))
-    if np.any(den <= 0.0):
-        raise ValueError("degenerate window: reference amplitude has no power")
-    mult = target_multiplicities(nodes)
-    errors = np.empty((nf, len(targets)))
-    C = np.concatenate([W, -W], axis=1)
-    for m in range(1, nf):
-        lam = mode_eigenvalues(ChainSpec(nodes, m), profile)
-        joined = np.concatenate([lam, lam_ref])
-        num = _quad_forms(C, _frequency_kernel(joined, window.t_max))
-        errors[m - 1] = np.sqrt(num / den)
-    errors[nf - 1] = 0.0  # the full range reproduces the reference exactly
-    means = (errors @ mult) / nodes
+    table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
+    errors = _mode_errors(nodes, table, table[-1], window.t_max)
+    errors[-1] = 0.0
+    means = (errors @ target_multiplicities(nodes)) / nodes
     return errors, means
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "AmplitudeSet",
     "Spectrum",
     "amplitude",
+    "eigenvalue_table",
     "eigenvalues",
     "eigenvectors",
     "evolve",
@@ -75,11 +76,12 @@ def mode_multiplicities(nodes: int) -> np.ndarray:
     return mult
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _basis(nodes: int):
     """Orthonormal eigenvector matrix, per-column mode index, and the
-    column->mode aggregation matrix.  Cached per ring size; the same arrays
-    serve every truncation radius."""
+    column->mode aggregation matrix.  The same arrays serve every truncation
+    radius; a few recent ring sizes are cached, each holding an N x N
+    matrix."""
     if nodes < 3:
         raise ValueError(f"a ring needs at least 3 nodes, got {nodes}")
     n = nodes
@@ -116,25 +118,29 @@ def eigenvectors(nodes: int) -> np.ndarray:
     return _basis(nodes)[0]
 
 
-def mode_eigenvalues(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
-    """One eigenvalue per retained mode (length mode_count)."""
+def eigenvalue_table(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
+    """Mode eigenvalues for every truncation radius M = 1..spec.neighbors.
+
+    Row M-1 holds lam_m(M) = 2 sum_{j<=M} d_j cos(p_m j), so the whole table
+    is one cumulative sum over j.  On an even ring the j = N/2 term is
+    halved: the opposite node is a single neighbour, not a pair.
+    """
     if len(profile) < spec.neighbors:
         raise ValueError(
             f"profile has {len(profile)} couplings but neighbors={spec.neighbors}"
         )
-    n = spec.nodes
-    pm = wave_numbers(n)
-    if n % 2 == 0 and spec.untruncated:
-        j = np.arange(1, n // 2)
-        ratios = np.asarray(profile.ratios[: n // 2 - 1])
-        lam = 2.0 * (np.cos(np.outer(pm, j)) @ ratios)
-        m = np.arange(1, mode_count(n) + 1)
-        lam += ((-1.0) ** (m - 1)) * profile.ratios[n // 2 - 1]
-    else:
-        j = np.arange(1, spec.neighbors + 1)
-        ratios = np.asarray(profile.ratios[: spec.neighbors])
-        lam = 2.0 * (np.cos(np.outer(pm, j)) @ ratios)
-    return lam
+    j = np.arange(1, spec.neighbors + 1)
+    ratios = np.asarray(profile.ratios[: spec.neighbors])
+    terms = 2.0 * ratios[:, None] * np.cos(np.outer(j, wave_numbers(spec.nodes)))
+    if 2 * spec.neighbors == spec.nodes:
+        terms[-1] *= 0.5
+    return np.cumsum(terms, axis=0)
+
+
+def mode_eigenvalues(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
+    """One eigenvalue per retained mode (length mode_count): the last row
+    of eigenvalue_table."""
+    return eigenvalue_table(spec, profile)[-1]
 
 
 def eigenvalues(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:

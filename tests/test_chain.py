@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -81,6 +83,11 @@ class TestCouplingProfile:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             CouplingProfile((1.0,), kind="exotic")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CouplingProfile((1.0, bad, 0.1))
 
 
 class TestBuildMatrix:

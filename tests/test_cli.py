@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ringspin.chain import max_neighbors
-from ringspin.cli import main
+from ringspin.cli import Table, _emit, main
 
 HALF_SQRT2 = 2.0**-1.5
 
@@ -171,6 +171,18 @@ class TestCustomProfiles:
     def test_unknown_profile_kind_is_bad_config(self):
         assert run(["spectrum", "--n", "8", "--profile", "quadrupolar"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_profile_file_is_bad_config(self, tmp_path, capsys, bad):
+        path = tmp_path / "profile.txt"
+        path.write_text(f"1.0\n0.3\n{bad}\n0.01\n0.001\n")
+        for command in ("threshold", "jmap"):
+            code = run([command, "--n", "10", "--format", "json",
+                        "--profile", f"custom:{path}"])
+            assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
 
 class TestBadConfig:
     def test_unknown_command(self):
@@ -181,6 +193,13 @@ class TestBadConfig:
 
     def test_epsilon_out_of_range(self):
         assert run(["threshold", "--n", "8", "--epsilon", "1.5"]) == 2
+
+    def test_infinite_window(self):
+        assert run(["jmap", "--n", "8", "--t-max", "inf", "--format", "json"]) == 2
+
+    def test_json_refuses_nan(self):
+        with pytest.raises(ValueError):
+            _emit([Table("t", ["x"], [[math.nan]])], "json", None)
 
 
 class TestValidateCommand:

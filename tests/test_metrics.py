@@ -18,9 +18,9 @@ from ringspin.metrics import (
     trig_power_integral,
     truncation_error,
 )
-from ringspin.metrics import _error_from_modes
+from ringspin.metrics import _mode_errors
 from ringspin.oracle import simpson_integral
-from ringspin.spectral import amplitude, mode_eigenvalues
+from ringspin.spectral import amplitude, eigenvalue_table, pair_mode_weights
 
 # (1/T) int_0^T cos^4 tau dtau at T = 4, by the antiderivative
 # 3 tau/8 + sin(2 tau)/4 + sin(4 tau)/32
@@ -34,6 +34,9 @@ class TestTimeWindow:
             TimeWindow(0.0)
         with pytest.raises(ValueError):
             TimeWindow(-3.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                TimeWindow(bad)
 
     def test_matched_default(self):
         assert TimeWindow.matched(70).t_max == 70.0
@@ -130,14 +133,13 @@ class TestTruncationError:
         relative error unchanged; checked at the mode level because the
         public profile type pins d_1 = 1."""
         nodes, m = 11, 2
-        profile = dipolar_ratios(nodes)
-        w = np.random.default_rng(3).normal(size=6)
-        lam = mode_eigenvalues(ChainSpec(nodes, m), profile)
-        lam_ref = mode_eigenvalues(ChainSpec.all_neighbors(nodes), profile)
-        base = _error_from_modes(w, lam, lam_ref, 11.0)
+        table = eigenvalue_table(ChainSpec.all_neighbors(nodes), dipolar_ratios(nodes))
+        lam, lam_ref = table[m - 1 : m], table[-1]
+        base = _mode_errors(nodes, lam, lam_ref, 11.0)
+        assert np.all(base > 1e-3)
         for c in (0.25, 3.0, 17.0):
-            scaled = _error_from_modes(w, c * lam, c * lam_ref, 11.0 / c)
-            assert scaled == pytest.approx(base, rel=1e-12)
+            scaled = _mode_errors(nodes, c * lam, c * lam_ref, 11.0 / c)
+            np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=0.0)
 
 
 class TestMeanTruncationError:
@@ -159,45 +161,86 @@ class TestMeanTruncationError:
         assert mean_truncation_error(spec, profile, window) == pytest.approx(expected)
 
 
-class TestSweeps:
-    def test_transfer_metrics_consistency(self):
-        spec = ChainSpec(10, 3)
-        profile = dipolar_ratios(10)
-        window = TimeWindow.matched(10)
-        tm = transfer_metrics(spec, profile, window)
-        assert tm.targets == independent_targets(10)
-        for i, t in enumerate(tm.targets):
-            assert tm.avg_probabilities[i] == pytest.approx(
-                avg_probability(spec, profile, t, window), abs=1e-13
-            )
-            assert tm.errors[i] == pytest.approx(
-                truncation_error(spec, profile, t, window), abs=1e-12
-            )
-        assert tm.mean_error == pytest.approx(
-            mean_truncation_error(spec, profile, window), abs=1e-12
-        )
+def steep_profile(nodes: int) -> CouplingProfile:
+    """d_k = e^{-2(k-1)}: far couplings so weak that truncation errors sit
+    at the cancellation floor of the closed-form numerator (about 1e-8)."""
+    return CouplingProfile(tuple(np.exp(-2.0 * np.arange(max_neighbors(nodes)))))
 
-    def test_maps_match_pointwise_routes(self):
-        nodes = 9
+
+def eigenvector_forms(nodes: int, profile: CouplingProfile, t_max: float):
+    """Reference maps from one explicit quadratic form per (M, target):
+    eigenvector weights of the (1, n) element, eigenvalues summed directly
+    from their cosine formula, and the joined spectrum (+w on lam, -w on
+    lam_ref) for the error numerator."""
+    nf = max_neighbors(nodes)
+    p = 2.0 * np.pi * np.arange(nf + 1) / nodes
+    d = np.asarray(profile.ratios)
+    lams = []
+    for m in range(1, nf + 1):
+        c = 2.0 * d[:m]
+        if 2 * m == nodes:
+            c[-1] = d[m - 1]  # the opposite node is a single neighbour
+        lams.append(np.cos(np.outer(p, np.arange(1, m + 1))) @ c)
+    weights = [pair_mode_weights(nodes, 1, n) for n in independent_targets(nodes)]
+    probs = np.array([
+        [trig_power_integral(w, lam, t_max) / t_max for w in weights] for lam in lams
+    ])
+    errors = np.zeros_like(probs)
+    for row, lam in enumerate(lams[:-1]):
+        for i, w in enumerate(weights):
+            num = trig_power_integral(
+                np.concatenate([w, -w]), np.concatenate([lam, lams[-1]]), t_max
+            )
+            errors[row, i] = math.sqrt(num / trig_power_integral(w, lams[-1], t_max))
+    return probs, errors
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize(
+        "make_profile, tol", [(dipolar_ratios, 1e-12), (steep_profile, 1e-7)],
+        ids=["dipolar", "steep"],
+    )
+    def test_maps_match_eigenvector_forms(self, make_profile, tol):
+        for nodes in range(3, 25):
+            profile = make_profile(nodes)
+            mult = target_multiplicities(nodes)
+            for factor in (0.5, 1.0, 2.3):
+                window = TimeWindow(factor * nodes)
+                ref_probs, ref_errors = eigenvector_forms(nodes, profile, window.t_max)
+                probs = probability_map(nodes, profile, window)
+                errors, means = error_map(nodes, profile, window)
+                assert probs.shape == errors.shape == ref_probs.shape
+                np.testing.assert_allclose(probs, ref_probs, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(errors, ref_errors, rtol=0.0, atol=tol)
+                np.testing.assert_allclose(
+                    means, ref_errors @ mult / nodes, rtol=0.0, atol=tol
+                )
+
+    @pytest.mark.parametrize("nodes, m", [(9, 2), (10, 3), (16, 5), (17, 8)])
+    def test_scalar_views_match_eigenvector_forms(self, nodes, m):
+        """Every target 1..N, mirrors included, through each scalar view."""
         profile = dipolar_ratios(nodes)
-        window = TimeWindow.matched(nodes)
-        probs = probability_map(nodes, profile, window)
-        errors, means = error_map(nodes, profile, window)
-        nf = max_neighbors(nodes)
-        assert probs.shape == errors.shape == (nf, nf + 1)
-        for m in (1, nf):
-            spec = ChainSpec(nodes, m)
-            for i, t in enumerate(independent_targets(nodes)):
-                assert probs[m - 1][i] == pytest.approx(
-                    avg_probability(spec, profile, t, window), abs=1e-13
-                )
-                assert errors[m - 1][i] == pytest.approx(
-                    truncation_error(spec, profile, t, window), abs=1e-12
-                )
-            assert means[m - 1] == pytest.approx(
-                mean_truncation_error(spec, profile, window), abs=1e-12
+        window = TimeWindow(1.3 * nodes)
+        ref_probs, ref_errors = eigenvector_forms(nodes, profile, window.t_max)
+        spec = ChainSpec(nodes, m)
+        for target in range(1, nodes + 1):
+            i = min(target, nodes + 2 - target) - 1
+            assert avg_probability(spec, profile, target, window) == pytest.approx(
+                ref_probs[m - 1, i], abs=1e-12
             )
+            assert truncation_error(spec, profile, target, window) == pytest.approx(
+                ref_errors[m - 1, i], abs=1e-12
+            )
+        tm = transfer_metrics(spec, profile, window)
+        assert tm.targets == independent_targets(nodes)
+        np.testing.assert_allclose(tm.avg_probabilities, ref_probs[m - 1], atol=1e-12)
+        np.testing.assert_allclose(tm.errors, ref_errors[m - 1], atol=1e-12)
+        expected_mean = float(target_multiplicities(nodes) @ ref_errors[m - 1]) / nodes
+        assert tm.mean_error == pytest.approx(expected_mean, abs=1e-12)
+        assert mean_truncation_error(spec, profile, window) == tm.mean_error
 
+
+class TestSweeps:
     def test_full_range_error_row_is_zero(self):
         errors, means = error_map(8, dipolar_ratios(8), TimeWindow(8.0))
         assert np.all(errors[-1] == 0.0)

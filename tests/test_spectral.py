@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 from ringspin.chain import ChainSpec, CouplingProfile, build_matrix, dipolar_ratios, max_neighbors
 from ringspin.oracle import expm_propagate
 from ringspin.spectral import (
+    _basis,
     amplitude,
+    eigenvalue_table,
     eigenvalues,
     eigenvectors,
     evolve,
@@ -54,6 +56,12 @@ class TestEigenvectors:
         # the basis never depends on the interaction range
         assert eigenvectors(12) is eigenvectors(12)
 
+    def test_basis_cache_is_bounded(self):
+        for nodes in range(10, 80):
+            eigenvectors(nodes)
+        info = _basis.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
+
     def test_mode_bookkeeping(self):
         assert mode_count(6) == 4
         assert mode_count(5) == 3
@@ -89,6 +97,16 @@ class TestEigenvalues:
     def test_profile_too_short(self):
         with pytest.raises(ValueError):
             mode_eigenvalues(ChainSpec(8, 4), CouplingProfile((1.0, 0.5)))
+
+    @pytest.mark.parametrize("nodes", [3, 4, 9, 10, 31, 32])
+    def test_table_rows_are_radius_eigenvalues(self, nodes):
+        profile = dipolar_ratios(nodes)
+        table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
+        assert table.shape == (max_neighbors(nodes), mode_count(nodes))
+        for m in range(1, max_neighbors(nodes) + 1):
+            np.testing.assert_array_equal(
+                table[m - 1], mode_eigenvalues(ChainSpec(nodes, m), profile)
+            )
 
     @settings(max_examples=40)
     @given(ring_specs())
