@@ -38,20 +38,17 @@ from .metrics import (
 )
 from .oracle import DenseEigenResult, dense_eigen, expm_propagate, simpson_integral
 from .spectral import (
-    AmplitudeSet,
     Spectrum,
     amplitude,
     eigenvalues,
     eigenvectors,
     evolve,
-    first_row_amplitudes,
     spectrum,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeSet",
     "ChainSpec",
     "CouplingProfile",
     "DenseEigenResult",
@@ -75,7 +72,6 @@ __all__ = [
     "error_map",
     "evolve",
     "expm_propagate",
-    "first_row_amplitudes",
     "fit_decay",
     "fit_trends",
     "independent_targets",

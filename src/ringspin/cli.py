@@ -6,8 +6,9 @@ spectrum    eigenvalue table of one (N, M) model
 probmap     window-averaged transfer probabilities over all (M, target)
 jmap        truncation errors over all (M, target) plus per-M averages
 threshold   minimal accurate truncation radius per chain length, with audit
-fit         decay-curve parameters per chain length
-validate    closed form vs brute-force oracles; nonzero exit on failure
+fit         decay-curve parameters per chain length, plus their drift
+            across lengths (table `trend`) for three or more lengths
+validate    the `oracle` checks of the closed form; nonzero exit on failure
 
 Values are written with 15 significant digits in both formats, so CSV and
 JSON parse back to identical numbers.  Exit codes: 0 success, 1 validation
@@ -25,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingProfile, build_matrix, dipolar_ratios, max_neighbors
-from .fitting import fit_decay
+from .chain import ChainSpec, CouplingProfile, dipolar_ratios, max_neighbors
+from .fitting import FitSeries, fit_decay, fit_trends
 from .metrics import (
     TimeWindow,
     accuracy_threshold,
@@ -34,8 +35,8 @@ from .metrics import (
     independent_targets,
     probability_map,
 )
-from .oracle import dense_eigen, expm_propagate, simpson_integral
-from .spectral import amplitude, eigenvalues, eigenvectors, evolve, spectrum
+from .oracle import validation_checks
+from .spectral import spectrum
 
 __all__ = ["entry", "main"]
 
@@ -141,35 +142,23 @@ def cmd_spectrum(args) -> list[Table]:
     return [Table("spectrum", ["mode", "wave_number", "eigenvalue", "multiplicity"], rows)]
 
 
-def cmd_probmap(args) -> list[Table]:
-    nodes = args.n
-    profile = _parse_profile(args.profile, nodes)
-    window = _window(args, nodes)
-    probs = probability_map(nodes, profile, window)
+def _map_rows(nodes: int, surface) -> list[list]:
+    """(M, target, value) rows of an (M, target) map, in lexicographic order."""
     targets = independent_targets(nodes)
-    rows = [
-        [m, t, probs[m - 1][i]]
-        for m in range(1, max_neighbors(nodes) + 1)
-        for i, t in enumerate(targets)
-    ]
-    return [Table("probability", ["neighbors", "target", "avg_probability"], rows)]
+    return [[m, t, v] for m, row in enumerate(surface, start=1) for t, v in zip(targets, row)]
+
+
+def cmd_probmap(args) -> list[Table]:
+    probs = probability_map(args.n, _parse_profile(args.profile, args.n), _window(args, args.n))
+    return [Table("probability", ["neighbors", "target", "avg_probability"],
+                  _map_rows(args.n, probs))]
 
 
 def cmd_jmap(args) -> list[Table]:
-    nodes = args.n
-    profile = _parse_profile(args.profile, nodes)
-    window = _window(args, nodes)
-    errors, means = error_map(nodes, profile, window)
-    targets = independent_targets(nodes)
-    rows = [
-        [m, t, errors[m - 1][i]]
-        for m in range(1, max_neighbors(nodes) + 1)
-        for i, t in enumerate(targets)
-    ]
-    avg_rows = [[m, means[m - 1]] for m in range(1, max_neighbors(nodes) + 1)]
+    errors, means = error_map(args.n, _parse_profile(args.profile, args.n), _window(args, args.n))
     return [
-        Table("error", ["neighbors", "target", "error"], rows),
-        Table("error_avg", ["neighbors", "mean_error"], avg_rows),
+        Table("error", ["neighbors", "target", "error"], _map_rows(args.n, errors)),
+        Table("error_avg", ["neighbors", "mean_error"], [[m, v] for m, v in enumerate(means, 1)]),
     ]
 
 
@@ -191,7 +180,7 @@ def cmd_threshold(args) -> list[Table]:
 
 
 def cmd_fit(args) -> list[Table]:
-    rows = []
+    rows, fits = [], {}
     for nodes in _parse_n_list(args):
         nf = max_neighbors(nodes)
         if nf - 2 < 5:
@@ -204,117 +193,24 @@ def cmd_fit(args) -> list[Table]:
         if not fp.converged:
             print(f"warning: fit for N={nodes} did not converge", file=sys.stderr)
         rows.append([nodes, fp.a, fp.b, fp.c, fp.d, fp.rms])
-    return [Table("fit", ["nodes", "a", "b", "c", "d", "rms"], rows)]
-
-
-# --- validation suites -----------------------------------------------------
-
-def _grouped_projectors(values, vectors, group_tol=1e-6):
-    order = np.argsort(values)
-    vals = np.asarray(values)[order]
-    vecs = np.asarray(vectors)[:, order]
-    groups = []
-    start = 0
-    for i in range(1, vals.size + 1):
-        if i == vals.size or vals[i] - vals[start] > group_tol:
-            block = vecs[:, start:i]
-            groups.append((float(vals[start:i].mean()), i - start, block @ block.T))
-            start = i
-    return groups
-
-
-def _check_eigen_agreement(max_nodes=16):
-    """Closed-form spectrum vs dense solver: sorted eigenvalues and
-    degenerate-subspace projectors."""
-    worst_val, worst_proj = 0.0, 0.0
-    for nodes in range(3, max_nodes + 1):
-        profile = dipolar_ratios(nodes)
-        U = eigenvectors(nodes)
-        for m in range(1, max_neighbors(nodes) + 1):
-            spec = ChainSpec(nodes, m)
-            lam = eigenvalues(spec, profile)
-            oracle = dense_eigen(build_matrix(spec, profile))
-            worst_val = max(
-                worst_val, float(np.abs(np.sort(lam) - oracle.values).max())
-            )
-            closed = _grouped_projectors(lam, U)
-            brute = _grouped_projectors(oracle.values, oracle.vectors)
-            if len(closed) != len(brute):
-                return np.inf, np.inf
-            for (_, size_c, proj_c), (_, size_b, proj_b) in zip(closed, brute):
-                if size_c != size_b:
-                    return np.inf, np.inf
-                worst_proj = max(worst_proj, float(np.abs(proj_c - proj_b).max()))
-    return worst_val, worst_proj
-
-
-def _check_propagator(sizes=(4, 5, 8, 11, 12), states=20, seed=20260810):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for nodes in sizes:
-        profile = dipolar_ratios(nodes)
-        for m in (1, max_neighbors(nodes)):
-            spec = ChainSpec(nodes, m)
-            G = build_matrix(spec, profile)
-            for tau in (0.1, 1.0, float(nodes)):
-                for _ in range(states):
-                    v = rng.normal(size=nodes) + 1j * rng.normal(size=nodes)
-                    v /= np.linalg.norm(v)
-                    dev = np.abs(
-                        evolve(spec, profile, v, tau) - expm_propagate(G, v, tau)
-                    ).max()
-                    worst = max(worst, float(dev))
-    return worst
-
-
-def _check_quadrature(step, sizes=(10, 13)):
-    """Closed-form window integrals vs composite Simpson on a uniform grid."""
-    worst = 0.0
-    for nodes in sizes:
-        profile = dipolar_ratios(nodes)
-        t_max = float(nodes)
-        window = TimeWindow(t_max)
-        samples = int(round(t_max / step))
-        if samples % 2 == 1:
-            samples += 1  # Simpson needs an even interval count
-        grid = np.linspace(0.0, t_max, samples + 1)
-        targets = independent_targets(nodes)
-        spec_full = ChainSpec.all_neighbors(nodes)
-        ref = {t: amplitude(spec_full, profile, 1, t, grid) for t in targets}
-        errors, _ = error_map(nodes, profile, window)
-        probs = probability_map(nodes, profile, window)
-        for m in range(1, max_neighbors(nodes) + 1):
-            spec = ChainSpec(nodes, m)
-            for i, t in enumerate(targets):
-                p = amplitude(spec, profile, 1, t, grid)
-                quad_prob = simpson_integral(np.abs(p) ** 2, t_max) / t_max
-                worst = max(worst, abs(quad_prob - probs[m - 1][i]))
-                num = simpson_integral(np.abs(p - ref[t]) ** 2, t_max)
-                den = simpson_integral(np.abs(ref[t]) ** 2, t_max)
-                worst = max(worst, abs(np.sqrt(num / den) - errors[m - 1][i]))
-    return worst
-
-
-def _check_perfect_transfer():
-    p = amplitude(ChainSpec(4, 1), dipolar_ratios(4), 1, 3, np.pi / 2)
-    return abs(abs(p) ** 2 - 1.0)
+        fits[nodes] = fp
+    tables = [Table("fit", ["nodes", "a", "b", "c", "d", "rms"], rows)]
+    if len(fits) >= 3:
+        trend = fit_trends(FitSeries(tuple(sorted(fits.items()))))
+        tables.append(Table(
+            "trend",
+            [f"slope_{p}" for p in trend.slopes] + [f"sign_ok_{p}" for p in trend.slopes],
+            [[*trend.slopes.values(), *map(int, trend.matches_expected.values())]],
+        ))
+    return tables
 
 
 def cmd_validate(args) -> int:
-    step = args.quad_step
-    checks = []
-    val_dev, proj_dev = _check_eigen_agreement()
-    checks.append(("eigenvalues closed form vs dense solver", val_dev, 1e-10))
-    checks.append(("degenerate projectors closed form vs dense solver", proj_dev, 1e-8))
-    checks.append(("propagator closed form vs matrix exponential", _check_propagator(), 1e-8))
-    checks.append((f"window integrals vs Simpson (step {step:g})", _check_quadrature(step), 1e-6))
-    checks.append(("perfect transfer across the 4-ring", _check_perfect_transfer(), 1e-12))
-    failed = False
-    for name, dev, tol in checks:
-        ok = dev <= tol
-        failed |= not ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: max deviation {dev:.3e} (tol {tol:g})")
-    return 1 if failed else 0
+    checks = validation_checks(args.quad_step)
+    for c in checks:
+        print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "
+              f"max deviation {c.deviation:.3e} (tol {c.tolerance:g})")
+    return 0 if all(c.passed for c in checks) else 1
 
 
 # --- argument parsing ------------------------------------------------------

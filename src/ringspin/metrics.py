@@ -128,12 +128,20 @@ def _target_fold(nodes: int):
     return fold
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """`values`, refused when the window integrals overflowed to inf or nan."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("window integrals are not finite: t_max too large for this spectrum")
+    return values
+
+
 def _mode_probabilities(nodes: int, lam_rows: np.ndarray, t_max: float) -> np.ndarray:
     """Window-averaged probabilities 1 -> n (columns: independent targets)
     for each row of mode eigenvalues."""
     fold = _target_fold(nodes)
-    forms = np.array([fold(_window_kernel(lam, lam, t_max)) for lam in lam_rows])
-    return np.maximum(forms, 0.0) / t_max
+    with np.errstate(all="ignore"):
+        forms = np.array([fold(_window_kernel(lam, lam, t_max)) for lam in lam_rows])
+    return _finite(np.maximum(forms, 0.0) / t_max)
 
 
 def _mode_errors(
@@ -142,16 +150,17 @@ def _mode_errors(
     """Truncation errors (columns: independent targets) of each row of mode
     eigenvalues against the reference spectrum lam_ref."""
     fold = _target_fold(nodes)
-    k_ref = _window_kernel(lam_ref, lam_ref, t_max)
-    den = fold(k_ref)
-    if np.any(den <= 0.0):
-        raise ValueError("degenerate window: reference amplitude has no power")
-    num = np.array([
-        fold(_window_kernel(lam, lam, t_max) + k_ref
-             - 2.0 * _window_kernel(lam, lam_ref, t_max))
-        for lam in lam_rows
-    ])
-    return np.sqrt(np.maximum(num, 0.0) / den)
+    with np.errstate(all="ignore"):
+        k_ref = _window_kernel(lam_ref, lam_ref, t_max)
+        den = fold(k_ref)
+        if np.any(den <= 0.0):
+            raise ValueError("degenerate window: reference amplitude has no power")
+        num = np.array([
+            fold(_window_kernel(lam, lam, t_max) + k_ref
+                 - 2.0 * _window_kernel(lam, lam_ref, t_max))
+            for lam in lam_rows
+        ])
+        return _finite(np.sqrt(np.maximum(num, 0.0) / den))
 
 
 def _target_index(nodes: int, target: int) -> int:

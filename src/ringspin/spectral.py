@@ -37,14 +37,12 @@ import numpy as np
 from .chain import ChainSpec, CouplingProfile
 
 __all__ = [
-    "AmplitudeSet",
     "Spectrum",
     "amplitude",
     "eigenvalue_table",
     "eigenvalues",
     "eigenvectors",
     "evolve",
-    "first_row_amplitudes",
     "mode_count",
     "mode_eigenvalues",
     "mode_multiplicities",
@@ -223,40 +221,3 @@ def evolve(spec: ChainSpec, profile: CouplingProfile, initial, tau: float) -> np
     U = eigenvectors(spec.nodes)
     lam = eigenvalues(spec, profile)
     return U @ (np.exp(-1j * lam * float(tau)) * (U.T @ v))
-
-
-@dataclass(frozen=True)
-class AmplitudeSet:
-    """Amplitudes p_{jk}(tau) for a batch of site pairs and times.
-
-    `values[i, t]` is the amplitude for `pairs[i]` at `times[t]`.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        peak = float(np.abs(self.values).max()) if self.values.size else 0.0
-        if peak > 1.0 + 1e-12:
-            raise ValueError(f"|amplitude| exceeds 1: {peak!r}")
-
-
-def first_row_amplitudes(spec: ChainSpec, profile: CouplingProfile, tau) -> AmplitudeSet:
-    """Amplitudes from site 1 to sites 1..max_neighbors.
-
-    Every node of the ring is equivalent, so this row determines all
-    transfers: p_{j+s, k+s} = p_{jk} for any shift s.
-    """
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("tau must be finite")
-    nf = spec.max_neighbors
-    lam = mode_eigenvalues(spec, profile)
-    W = np.stack([pair_mode_weights(spec.nodes, 1, k) for k in range(1, nf + 1)])
-    phases = np.exp(-1j * np.outer(lam, taus))
-    return AmplitudeSet(
-        pairs=tuple((1, k) for k in range(1, nf + 1)),
-        times=taus,
-        values=W @ phases,
-    )

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ringspin.chain import max_neighbors
+from ringspin.chain import dipolar_ratios, max_neighbors
 from ringspin.cli import Table, _emit, main
+from ringspin.fitting import FitSeries, fit_decay, fit_trends
+from ringspin.metrics import TimeWindow, error_map
 
 HALF_SQRT2 = 2.0**-1.5
 
@@ -111,6 +113,29 @@ class TestFitCommand:
     def test_too_short_chain_is_bad_config(self):
         assert run(["fit", "--n", "8"]) == 2
 
+    def test_trend_table_from_sorted_lengths(self, capsys):
+        assert run(["fit", "--n-list", "36,20,70", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [row[0] for row in payload["fit"]["rows"]] == [36, 20, 70]
+        entries = []
+        for nodes in (20, 36, 70):
+            _, means = error_map(nodes, dipolar_ratios(nodes), TimeWindow.matched(nodes))
+            entries.append((nodes, fit_decay([(m, means[m - 1]) for m in range(2, nodes // 2)])))
+        report = fit_trends(FitSeries(tuple(entries)))
+        names = list(report.slopes)
+        assert payload["trend"]["columns"] == (
+            [f"slope_{p}" for p in names] + [f"sign_ok_{p}" for p in names]
+        )
+        (row,) = payload["trend"]["rows"]
+        assert row[:4] == pytest.approx(list(report.slopes.values()), rel=1e-12)
+        assert row[4:] == [int(report.matches_expected[p]) for p in names]
+
+    @pytest.mark.parametrize("lengths", [["--n", "20"], ["--n-list", "20,36"],
+                                         ["--n-list", "20,36,20"]])
+    def test_no_trend_table_below_three_lengths(self, capsys, lengths):
+        assert run(["fit", *lengths, "--format", "json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["fit"]
+
 
 class TestOutputFormats:
     def test_csv_json_round_trip_equality(self, tmp_path):
@@ -201,6 +226,21 @@ class TestBadConfig:
         with pytest.raises(ValueError):
             _emit([Table("t", ["x"], [[math.nan]])], "json", None)
 
+    @pytest.mark.parametrize("command", [["threshold"], ["jmap"], ["probmap"]])
+    def test_window_overflowing_the_kernel(self, capsys, command):
+        # delta * t_max overflows to inf, so the window integrals would be nan
+        assert run([*command, "--n", "6", "--t-max", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "1e-12"])
+    def test_bad_quadrature_step(self, capsys, step):
+        assert run(["validate", f"--quad-step={step}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "quadrature step" in captured.err
+
 
 class TestValidateCommand:
     def test_passes_with_coarse_quadrature(self, capsys):
@@ -209,3 +249,9 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    def test_coarse_quadrature_fails_only_the_simpson_check(self, capsys):
+        assert run(["validate", "--quad-step", "0.5"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[0] for ln in lines] == ["PASS", "PASS", "PASS", "FAIL", "PASS"]
+        assert lines[3].startswith("FAIL  window integrals vs Simpson (step 0.5)")

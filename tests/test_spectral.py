@@ -11,7 +11,6 @@ from ringspin.spectral import (
     eigenvalues,
     eigenvectors,
     evolve,
-    first_row_amplitudes,
     mode_count,
     mode_eigenvalues,
     mode_multiplicities,
@@ -274,24 +273,3 @@ class TestEvolve:
             evolve(spec, profile, v, tau), expm_propagate(G, v, tau), atol=1e-8
         )
 
-
-class TestFirstRowAmplitudes:
-    def test_hexagon_at_time_zero(self):
-        amps = first_row_amplitudes(ChainSpec(6, 2), dipolar_ratios(6), 0.0)
-        assert amps.pairs == ((1, 1), (1, 2), (1, 3))
-        np.testing.assert_allclose(amps.values[:, 0], [1.0, 0.0, 0.0], atol=1e-14)
-
-    def test_matches_amplitude_entrywise(self):
-        spec = ChainSpec(9, 4)
-        profile = dipolar_ratios(9)
-        taus = np.array([0.3, 1.1, 7.7])
-        amps = first_row_amplitudes(spec, profile, taus)
-        for i, (_, k) in enumerate(amps.pairs):
-            np.testing.assert_allclose(
-                amps.values[i], amplitude(spec, profile, 1, k, taus), atol=1e-14
-            )
-
-    def test_square_ring_perfect_transfer_row(self):
-        amps = first_row_amplitudes(ChainSpec(4, 1), dipolar_ratios(4), np.pi / 2)
-        mags = np.abs(amps.values[:, 0]) ** 2
-        np.testing.assert_allclose(mags, [0.0, 0.0], atol=1e-12)  # k = 1, 2 empty
