@@ -11,14 +11,15 @@ fit         decay-curve parameters per chain length, plus their drift
 validate    the `oracle` checks of the closed form; nonzero exit on failure
 
 Values are written with 15 significant digits in both formats, so CSV and
-JSON parse back to identical numbers.  Exit codes: 0 success, 1 validation
-failure, 2 bad configuration.
+JSON parse back to identical numbers; JSON writes one row per line, and a
+float column stays a JSON float even where its value is integral.  A value
+that is not finite is refused in both formats.  Exit codes: 0 success, 1
+validation failure, 2 bad configuration.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -41,17 +42,7 @@ from .spectral import spectrum
 __all__ = ["entry", "main"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".15g")
-
-
-def _round_trip(value):
-    """Value as it will parse back from either output format."""
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(_fmt(value))
+_LARGEST_FINITE_TEXT = 1.797693134862315e308  # larger floats print as 1.79769313486232e+308 = inf
 
 
 @dataclass
@@ -61,41 +52,51 @@ class Table:
     rows: list[list]
 
 
+def _body(t: Table, fmt: str) -> str:
+    """All rows as text from one `%` over a row template: `%d` for an integer
+    column, `%.15g` for a float column.  Both formats refuse a non-finite
+    float.  In JSON, a float whose text reads as an integer gets ".0", so it
+    parses back as a float."""
+    columns = [np.asarray(c) for c in zip(*t.rows)]
+    specs = ["%d" if c.dtype.kind in "biu" else "%.15g" for c in columns]
+    cells, integral = [None] * (len(t.rows) * len(columns)), {}
+    for j, (name, c, spec) in enumerate(zip(t.columns, columns, specs)):
+        cells[j::len(columns)] = c.tolist()
+        if spec == "%d":
+            continue
+        if not (np.abs(c) <= _LARGEST_FINITE_TEXT).all():
+            raise ValueError(f"table {t.name!r}, column {name!r}: value is not finite")
+        # a superset of the values whose 15-digit text has no "." or "e"
+        near_integer = np.abs(c - np.rint(c)) <= 1e-14 * np.abs(c)
+        for i in np.flatnonzero(near_integer).tolist() if fmt == "json" else ():
+            if ("%.15g" % c[i]).lstrip("-").isdigit():
+                integral.setdefault(i, list(specs))[j] = "%.15g.0"
+    head, sep, tail = ("", ",", "\r\n") if fmt == "csv" else ("[", ", ", "]")
+    templates = [head + sep.join(specs) + tail] * len(t.rows)
+    for i, row_specs in integral.items():
+        templates[i] = head + sep.join(row_specs) + tail
+    return ("" if fmt == "csv" else ",\n").join(templates) % tuple(cells)
+
+
 def _emit(tables: list[Table], fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        payload = {
-            t.name: {
-                "columns": t.columns,
-                "rows": [[_round_trip(v) for v in row] for row in t.rows],
-            }
-            for t in tables
-        }
-        text = json.dumps(payload, indent=2, allow_nan=False)
+    bodies = [_body(t, fmt) for t in tables]
+    if fmt == "json":  # the object json.dumps would give, one row per line
+        texts = ["{" + ",\n".join(
+            f'{json.dumps(t.name)}: {{"columns": {json.dumps(t.columns)}, "rows": [\n{body}\n]}}'
+            for t, body in zip(tables, bodies)) + "}\n"]
+    else:  # csv: primary table to `out`, companions to <stem>_<name><suffix>
+        texts = [",".join(t.columns) + "\r\n" + body for t, body in zip(tables, bodies)]
+    for i, (t, text) in enumerate(zip(tables, texts)):
         if out:
-            Path(out).write_text(text + "\n")
-        else:
-            print(text)
-        return
-    # csv: primary table to `out`, companions to <stem>_<name><suffix>
-    if out:
-        primary = Path(out)
-        for i, t in enumerate(tables):
-            path = primary if i == 0 else primary.with_name(
-                f"{primary.stem}_{t.name}{primary.suffix or '.csv'}"
-            )
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(t.columns)
-                w.writerows([[_fmt(v) for v in row] for row in t.rows])
+            path = Path(out) if i == 0 else Path(out).with_name(
+                f"{Path(out).stem}_{t.name}{Path(out).suffix or '.csv'}")
+            path.write_text(text, newline="")
             if i > 0:
                 print(f"wrote companion table {t.name!r} to {path}", file=sys.stderr)
-    else:
-        w = csv.writer(sys.stdout)
-        for t in tables:
-            if len(tables) > 1:
+        else:
+            if len(texts) > 1:
                 print(f"# table: {t.name}")
-            w.writerow(t.columns)
-            w.writerows([[_fmt(v) for v in row] for row in t.rows])
+            sys.stdout.write(text)
 
 
 def _parse_profile(text: str, nodes: int) -> CouplingProfile:
@@ -192,9 +193,11 @@ def cmd_fit(args) -> list[Table]:
         fp = fit_decay(points)
         if not fp.converged:
             print(f"warning: fit for N={nodes} did not converge", file=sys.stderr)
-        rows.append([nodes, fp.a, fp.b, fp.c, fp.d, fp.rms])
+        rows.append([nodes, fp.a, fp.b, fp.c, fp.d, fp.rms,
+                     int(fp.converged), fp.iterations, fp.condition_number])
         fits[nodes] = fp
-    tables = [Table("fit", ["nodes", "a", "b", "c", "d", "rms"], rows)]
+    columns = ["nodes", "a", "b", "c", "d", "rms", "converged", "iterations", "condition_number"]
+    tables = [Table("fit", columns, rows)]
     if len(fits) >= 3:
         trend = fit_trends(FitSeries(tuple(sorted(fits.items()))))
         tables.append(Table(

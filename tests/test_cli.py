@@ -11,6 +11,8 @@ from ringspin.fitting import FitSeries, fit_decay, fit_trends
 from ringspin.metrics import TimeWindow, error_map
 
 HALF_SQRT2 = 2.0**-1.5
+INT_COLUMNS = {"neighbors", "target", "nodes", "min_neighbors", "mode", "multiplicity",
+               "converged", "iterations"}
 
 
 def read_csv(path):
@@ -106,9 +108,14 @@ class TestFitCommand:
         out = tmp_path / "fit.csv"
         assert run(["fit", "--n", "20", "--out", str(out)]) == 0
         header, rows = read_csv(out)
-        assert header == ["nodes", "a", "b", "c", "d", "rms"]
+        assert header == ["nodes", "a", "b", "c", "d", "rms",
+                          "converged", "iterations", "condition_number"]
         assert len(rows) == 1
         assert float(rows[0][5]) < 0.01
+        fp = fit_decay([(m, v) for m, v in enumerate(
+            error_map(20, dipolar_ratios(20), TimeWindow.matched(20))[1][1:9], start=2)])
+        assert rows[0][6:] == [str(int(fp.converged)), str(fp.iterations),
+                               format(fp.condition_number, ".15g")]
 
     def test_too_short_chain_is_bad_config(self):
         assert run(["fit", "--n", "8"]) == 2
@@ -139,26 +146,47 @@ class TestFitCommand:
 
 class TestOutputFormats:
     def test_csv_json_round_trip_equality(self, tmp_path):
-        csv_out = tmp_path / "t.csv"
-        json_out = tmp_path / "t.json"
-        assert run(["jmap", "--n", "9", "--out", str(csv_out)]) == 0
-        assert run(["jmap", "--n", "9", "--format", "json", "--out", str(json_out)]) == 0
-        payload = json.loads(json_out.read_text())
-        header, rows = read_csv(csv_out)
-        assert payload["error"]["columns"] == header
-        for csv_row, json_row in zip(rows, payload["error"]["rows"], strict=True):
-            parsed = [int(csv_row[0]), int(csv_row[1]), float(csv_row[2])]
-            assert parsed == json_row
-        avg_header, avg_rows = read_csv(tmp_path / "t_error_avg.csv")
-        assert payload["error_avg"]["columns"] == avg_header
-        for csv_row, json_row in zip(avg_rows, payload["error_avg"]["rows"], strict=True):
-            assert [int(csv_row[0]), float(csv_row[1])] == json_row
+        # both ring parities (with the all-zero full-radius error row), plus
+        # every other table-writing command
+        commands = [["jmap", "--n", "9"], ["jmap", "--n", "10"], ["probmap", "--n", "9"],
+                    ["probmap", "--n", "10"], ["threshold", "--n-list", "8,10"],
+                    ["fit", "--n-list", "20,36,70"], ["spectrum", "--n", "6", "--m", "3"]]
+        for argv in commands:
+            csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+            assert run([*argv, "--out", str(csv_out)]) == 0
+            assert run([*argv, "--format", "json", "--out", str(json_out)]) == 0
+            payload = json.loads(json_out.read_text())
+            for i, (name, table) in enumerate(payload.items()):
+                header, rows = read_csv(csv_out if i == 0 else tmp_path / f"t_{name}.csv")
+                assert table["columns"] == header
+                kinds = [int if col in INT_COLUMNS or col.startswith("sign_ok_") else float
+                         for col in header]
+                for csv_row, json_row in zip(rows, table["rows"], strict=True):
+                    assert [type(v) for v in json_row] == kinds, (argv, name)
+                    assert [kind(v) for kind, v in zip(kinds, csv_row)] == json_row
+
+    def test_json_floats_stay_floats(self, tmp_path):
+        values = [0.0, -0.0, 3.0, -2.9999999999999996, 0.1, 1e-300,
+                  123456789012345.0, 999999999999999.9, 1e16, 1.797693134862315e308]
+        rows = [[k, v, v] for k, v in enumerate(values)]
+        _emit([Table("t", ["k", "x", "y"], rows)], "json", str(tmp_path / "t.json"))
+        _emit([Table("t", ["k", "x", "y"], rows)], "csv", str(tmp_path / "t.csv"))
+        parsed = json.loads((tmp_path / "t.json").read_text())["t"]["rows"]
+        _, csv_rows = read_csv(tmp_path / "t.csv")
+        for v, json_row, csv_row in zip(values, parsed, csv_rows, strict=True):
+            text = format(v, ".15g")
+            assert csv_row[1:] == [text, text]
+            for got in json_row[1:]:
+                assert type(got) is float
+                assert got == float(text)
+                assert math.copysign(1.0, got) == math.copysign(1.0, v)
 
     def test_deterministic_output(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(["probmap", "--n", "11", "--out", str(a)])
-        run(["probmap", "--n", "11", "--out", str(b)])
-        assert a.read_text() == b.read_text()
+        for fmt in ("csv", "json"):
+            a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+            assert run(["probmap", "--n", "11", "--format", fmt, "--out", str(a)]) == 0
+            assert run(["probmap", "--n", "11", "--format", fmt, "--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_stdout_csv(self, capsys):
         assert run(["spectrum", "--n", "4", "--m", "1"]) == 0
@@ -222,9 +250,17 @@ class TestBadConfig:
     def test_infinite_window(self):
         assert run(["jmap", "--n", "8", "--t-max", "inf", "--format", "json"]) == 2
 
-    def test_json_refuses_nan(self):
-        with pytest.raises(ValueError):
-            _emit([Table("t", ["x"], [[math.nan]])], "json", None)
+    def test_json_refuses_nan(self, tmp_path, capsys):
+        # 1.7976931348623157e308 prints as 1.79769313486232e+308, which reads as inf
+        for bad in (math.nan, math.inf, -math.inf, 1.7976931348623157e308):
+            for fmt in ("csv", "json"):
+                table = Table("t", ["k", "x"], [[1, 0.5], [2, bad], [3, 0.25]])
+                with pytest.raises(ValueError, match="not finite"):
+                    _emit([table], fmt, None)
+                with pytest.raises(ValueError, match="not finite"):
+                    _emit([Table("ok", ["x"], [[1.0]]), table], fmt, str(tmp_path / "t"))
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", [["threshold"], ["jmap"], ["probmap"]])
     def test_window_overflowing_the_kernel(self, capsys, command):
