@@ -37,14 +37,7 @@ from .metrics import (
     truncation_error,
 )
 from .oracle import DenseEigenResult, dense_eigen, expm_propagate, simpson_integral
-from .spectral import (
-    Spectrum,
-    amplitude,
-    eigenvalues,
-    eigenvectors,
-    evolve,
-    spectrum,
-)
+from .spectral import amplitude, eigenvalues, evolve
 
 __version__ = "0.1.0"
 
@@ -54,7 +47,6 @@ __all__ = [
     "DenseEigenResult",
     "FitParams",
     "FitSeries",
-    "Spectrum",
     "ThresholdResult",
     "TimeWindow",
     "TransferMetrics",
@@ -68,7 +60,6 @@ __all__ = [
     "dense_eigen",
     "dipolar_ratios",
     "eigenvalues",
-    "eigenvectors",
     "error_map",
     "evolve",
     "expm_propagate",
@@ -79,7 +70,6 @@ __all__ = [
     "mean_truncation_error",
     "probability_map",
     "simpson_integral",
-    "spectrum",
     "transfer_metrics",
     "trig_power_integral",
     "truncation_error",

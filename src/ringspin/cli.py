@@ -37,7 +37,7 @@ from .metrics import (
     probability_map,
 )
 from .oracle import validation_checks
-from .spectral import spectrum
+from .spectral import mode_eigenvalues, mode_multiplicities, wave_numbers
 
 __all__ = ["entry", "main"]
 
@@ -94,8 +94,8 @@ def _emit(tables: list[Table], fmt: str, out: str | None) -> None:
             if i > 0:
                 print(f"wrote companion table {t.name!r} to {path}", file=sys.stderr)
         else:
-            if len(texts) > 1:
-                print(f"# table: {t.name}")
+            if len(texts) > 1:  # csv only: json is one text
+                sys.stdout.write(f"# table: {t.name}\r\n")
             sys.stdout.write(text)
 
 
@@ -117,29 +117,27 @@ def _parse_profile(text: str, nodes: int) -> CouplingProfile:
 
 
 def _parse_n_list(args) -> list[int]:
-    if args.n_list:
-        return [int(tok) for tok in args.n_list.split(",") if tok.strip()]
-    if args.n:
+    if args.n_list is not None:
+        lengths = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
+        if not lengths:
+            raise ValueError(f"--n-list names no ring size: {args.n_list!r}")
+        return lengths
+    if args.n is not None:
         return [args.n]
     raise ValueError("provide --n or --n-list")
 
 
 def _window(args, nodes: int) -> TimeWindow:
-    return TimeWindow(args.t_max) if args.t_max else TimeWindow.matched(nodes)
+    return TimeWindow.matched(nodes) if args.t_max is None else TimeWindow(args.t_max)
 
 
 def cmd_spectrum(args) -> list[Table]:
     nodes = args.n
-    m = args.m or max_neighbors(nodes)
-    spec = ChainSpec(nodes, m)
+    spec = ChainSpec(nodes, max_neighbors(nodes) if args.m is None else args.m)
     profile = _parse_profile(args.profile, nodes)
-    sp = spectrum(spec, profile)
-    rows = [
-        [mode, pm, lam, int(mult)]
-        for mode, (pm, lam, mult) in enumerate(
-            zip(sp.wave_numbers, sp.mode_values, sp.multiplicities), start=1
-        )
-    ]
+    columns = (wave_numbers(nodes), mode_eigenvalues(spec, profile),
+               mode_multiplicities(nodes).tolist())
+    rows = [[mode, *values] for mode, values in enumerate(zip(*columns), start=1)]
     return [Table("spectrum", ["mode", "wave_number", "eigenvalue", "multiplicity"], rows)]
 
 

@@ -22,7 +22,8 @@ deviation sqrt(int |p - p_ref|^2 / int |p_ref|^2) from the all-node
 amplitude; its numerator is the fold of
 K(lam, lam) + K(lam_ref, lam_ref) - 2 K(lam, lam_ref).  Mirror symmetry makes
 targets n and N+2-n equivalent, so only n = 1..max_neighbors+1 are computed;
-parity weights restore the full-ring average.  The scalar metrics are views
+the mode multiplicities weight them back to the full-ring average (targets
+and modes are the same reflection orbits of Z_N).  The scalar metrics are views
 on the same kernel; composite-Simpson quadrature is only a cross-check (see
 `oracle`).
 """
@@ -39,6 +40,7 @@ from .spectral import eigenvalue_table, mode_count, mode_eigenvalues, mode_multi
 
 __all__ = [
     "DEGENERACY_TOL",
+    "MIN_T_MAX",
     "ThresholdResult",
     "TimeWindow",
     "TransferMetrics",
@@ -48,7 +50,6 @@ __all__ = [
     "independent_targets",
     "mean_truncation_error",
     "probability_map",
-    "target_multiplicities",
     "transfer_metrics",
     "trig_power_integral",
     "truncation_error",
@@ -56,6 +57,9 @@ __all__ = [
 
 # frequencies closer than this are integrated as exactly degenerate
 DEGENERACY_TOL = 1e-12
+# shortest window: below it, (lam_a - lam_b) T of a pair just above
+# DEGENERACY_TOL is subnormal, and the window kernel loses its digits
+MIN_T_MAX = float(np.finfo(float).tiny) / DEGENERACY_TOL
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,9 @@ class TimeWindow:
     t_max: float
 
     def __post_init__(self):
-        if not 0 < self.t_max < math.inf:
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
+        if not MIN_T_MAX <= self.t_max < math.inf:
+            raise ValueError(f"t_max must be finite and at least {MIN_T_MAX:.3g}, "
+                             f"got {self.t_max!r}")
 
     @classmethod
     def matched(cls, nodes: int) -> "TimeWindow":
@@ -77,16 +82,6 @@ class TimeWindow:
 def independent_targets(nodes: int) -> tuple[int, ...]:
     """Target sites not related by ring reflection: n = 1..max_neighbors+1."""
     return tuple(range(1, max_neighbors(nodes) + 2))
-
-
-def target_multiplicities(nodes: int) -> np.ndarray:
-    """How many ring sites each independent target stands for; sums to N."""
-    nf = max_neighbors(nodes)
-    mult = np.full(nf + 1, 2, dtype=int)
-    mult[0] = 1
-    if nodes % 2 == 0:
-        mult[-1] = 1
-    return mult
 
 
 def _window_kernel(lam_a: np.ndarray, lam_b: np.ndarray, t_max: float) -> np.ndarray:
@@ -219,7 +214,7 @@ def transfer_metrics(
         errors = np.zeros_like(probs)  # truncated and reference dynamics coincide
     else:
         errors = _mode_errors(spec.nodes, lam, table[-1], window.t_max)[0]
-    mult = target_multiplicities(spec.nodes)
+    mult = mode_multiplicities(spec.nodes)
     return TransferMetrics(
         targets=independent_targets(spec.nodes),
         avg_probabilities=probs,
@@ -252,7 +247,7 @@ def error_map(
     table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
     errors = _mode_errors(nodes, table, table[-1], window.t_max)
     errors[-1] = 0.0
-    means = (errors @ target_multiplicities(nodes)) / nodes
+    means = (errors @ mode_multiplicities(nodes)) / nodes
     return errors, means
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chain import ChainSpec, build_matrix, dipolar_ratios, max_neighbors
 from .metrics import TimeWindow, error_map, independent_targets, probability_map
-from .spectral import (amplitude, eigenvalue_table, eigenvalues, eigenvectors, evolve,
+from .spectral import (amplitude, eigenvalue_table, evolve, mode_multiplicities,
                        pair_mode_weights)
 
 __all__ = ["Check", "DenseEigenResult", "check_eigen", "check_perfect_transfer",
@@ -97,12 +97,13 @@ class Check:
         return self.deviation <= self.tolerance
 
 
-def _eigenspaces(values, vectors) -> list[np.ndarray]:
-    """Projector onto each eigenspace, ascending in eigenvalue."""
+def _eigenspaces(values) -> np.ndarray:
+    """Indicator matrix (values x eigenspaces): values closer than GROUP_TOL
+    to a neighbour share an eigenspace; eigenspaces ascend in eigenvalue."""
     order = np.argsort(values)
-    vals, vecs = np.asarray(values)[order], np.asarray(vectors)[:, order]
-    blocks = np.split(vecs, np.flatnonzero(np.diff(vals) > GROUP_TOL) + 1, axis=1)
-    return [b @ b.T for b in blocks]
+    space = np.empty(len(order), dtype=int)
+    space[order] = np.concatenate(([0], np.cumsum(np.diff(np.asarray(values)[order]) > GROUP_TOL)))
+    return (space[:, None] == np.arange(space[order[-1]] + 1)).astype(float)
 
 
 def check_eigen() -> tuple[Check, Check]:
@@ -112,18 +113,18 @@ def check_eigen() -> tuple[Check, Check]:
     worst_val = worst_proj = 0.0
     for nodes in range(3, 17):
         profile = dipolar_ratios(nodes)
-        U = eigenvectors(nodes)
-        for m in range(1, max_neighbors(nodes) + 1):
-            spec = ChainSpec(nodes, m)
-            lam = eigenvalues(spec, profile)
-            oracle = dense_eigen(build_matrix(spec, profile))
-            worst_val = max(worst_val, float(np.abs(np.sort(lam) - oracle.values).max()))
-            closed = _eigenspaces(lam, U)
-            brute = _eigenspaces(oracle.values, oracle.vectors)
-            if len(closed) != len(brute):
-                worst_proj = math.inf
-            for proj_c, proj_b in zip(closed, brute):
-                worst_proj = max(worst_proj, float(np.abs(proj_c - proj_b).max()))
+        sites = np.arange(1, nodes + 1)
+        modes = pair_mode_weights(nodes, sites[:, None], sites[None, :])  # P_m, (N, N, modes)
+        mult = mode_multiplicities(nodes)
+        for m, lam in enumerate(eigenvalue_table(ChainSpec.all_neighbors(nodes), profile), 1):
+            oracle = dense_eigen(build_matrix(ChainSpec(nodes, m), profile))
+            worst_val = max(worst_val, float(np.abs(np.sort(np.repeat(lam, mult))
+                                                    - oracle.values).max()))
+            closed = modes @ _eigenspaces(lam)
+            V = oracle.vectors
+            brute = (V[:, None, :] * V[None, :, :]) @ _eigenspaces(oracle.values)
+            worst_proj = max(worst_proj, float(np.abs(closed - brute).max())
+                             if closed.shape == brute.shape else math.inf)
     return (
         Check("eigenvalues closed form vs dense solver", worst_val, 1e-10),
         Check("degenerate projectors closed form vs dense solver", worst_proj, 1e-8),
@@ -164,7 +165,7 @@ def check_quadrature(step: float, sizes) -> Check:
         profile = dipolar_ratios(nodes)
         intervals = int(round(t_max / step))
         grid = np.linspace(0.0, t_max, intervals + intervals % 2 + 1)  # Simpson: even count
-        W = np.stack([pair_mode_weights(nodes, 1, t) for t in independent_targets(nodes)])
+        W = pair_mode_weights(nodes, 1, np.array(independent_targets(nodes)))
         table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
         rows_ref = W @ np.exp(-1j * np.outer(table[-1], grid))
         den = np.array([simpson_integral(np.abs(r) ** 2, t_max) for r in rows_ref])

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringspin.chain import dipolar_ratios, max_neighbors
 from ringspin.cli import Table, _emit, main
 from ringspin.fitting import FitSeries, fit_decay, fit_trends
-from ringspin.metrics import TimeWindow, error_map
+from ringspin.metrics import MIN_T_MAX, TimeWindow, error_map
+from ringspin.spectral import mode_multiplicities
 
 HALF_SQRT2 = 2.0**-1.5
 INT_COLUMNS = {"neighbors", "target", "nodes", "min_neighbors", "mode", "multiplicity",
@@ -68,6 +70,34 @@ class TestProbmapCommand:
         assert len(rows) == nf * (nf + 1)
         keys = [(int(r[0]), int(r[1])) for r in rows]
         assert keys == sorted(keys)  # lexicographic in (M, target)
+
+    @pytest.mark.parametrize("t_max", [MIN_T_MAX, 1e-300, 1e-310, 1e-320, 5e-324])
+    def test_tiny_windows_keep_the_sum_rule_or_are_refused(self, capsys, t_max):
+        # below MIN_T_MAX the kernel runs on subnormals: p_11 = 0.996 at T = 1e-320
+        code = run(["probmap", "--n", "6", "--t-max", repr(t_max), "--format", "json"])
+        assert_sum_rule_or_refused(6, code, capsys.readouterr())
+        assert code == (0 if t_max >= MIN_T_MAX else 2)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(nodes=st.integers(3, 12), t_max=st.floats(
+        min_value=5e-324, max_value=1.7976931348623157e308, allow_subnormal=True))
+    def test_any_positive_window_keeps_the_sum_rule_or_is_refused(self, capsys, nodes, t_max):
+        code = run(["probmap", "--n", str(nodes), "--t-max", repr(t_max), "--format", "json"])
+        assert_sum_rule_or_refused(nodes, code, capsys.readouterr())
+
+
+def assert_sum_rule_or_refused(nodes, code, captured):
+    """Exit 2 with nothing on stdout, or exit 0 with finite probabilities whose
+    mirror-weighted sum over targets is 1 at every radius."""
+    if code == 2:
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        return
+    assert code == 0
+    rows = np.array(json.loads(captured.out)["probability"]["rows"])
+    probs = rows[:, 2].reshape(max_neighbors(nodes), -1)
+    assert np.all(np.isfinite(probs))
+    np.testing.assert_allclose(probs @ mode_multiplicities(nodes), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestJmapCommand:
@@ -188,6 +218,13 @@ class TestOutputFormats:
             assert run(["probmap", "--n", "11", "--format", fmt, "--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
 
+    def test_stdout_csv_line_endings(self, capsys):
+        # table markers, headers and rows all end in \r\n
+        assert run(["threshold", "--n", "10"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# table: threshold\r\n")
+        assert out.count("\n") == out.count("\r\n") > 0
+
     def test_stdout_csv(self, capsys):
         assert run(["spectrum", "--n", "4", "--m", "1"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -237,6 +274,45 @@ class TestCustomProfiles:
         assert "finite" in captured.err
 
 
+MALFORMED_LINES = st.one_of(
+    st.text(alphabet="abcxyz,;_ ", min_size=1).filter(str.strip),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "NaN"]),
+)
+
+
+@st.composite
+def malformed_profiles(draw):
+    """Bytes of a coupling file for a 10-ring with one defect: a non-numeric
+    or non-finite line, a first value other than 1, too few couplings, or
+    bytes that are not text."""
+    lines = [repr(r).encode() for r in dipolar_ratios(10).ratios]
+    kind = draw(st.sampled_from(["line", "first", "short", "bytes"]))
+    if kind == "line":
+        lines[draw(st.integers(0, 4))] = draw(MALFORMED_LINES).encode()
+    elif kind == "first":
+        first = draw(st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: x != 1.0))
+        lines[0] = repr(first).encode()
+    elif kind == "short":
+        lines = lines[: draw(st.integers(0, 4))]
+    else:
+        lines[draw(st.integers(0, 4))] = draw(st.sampled_from([b"\xff", b"0.5\xfe", b"\xc3("]))
+    return b"\n".join(lines) + b"\n"
+
+
+class TestMalformedProfiles:
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=malformed_profiles())
+    def test_malformed_profile_file_is_bad_config(self, tmp_path, capsys, content):
+        path = tmp_path / "profile.txt"
+        path.write_bytes(content)
+        for command in ("threshold", "jmap"):
+            assert run([command, "--n", "10", "--profile", f"custom:{path}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "Traceback" not in captured.err
+
+
 class TestBadConfig:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
@@ -246,6 +322,15 @@ class TestBadConfig:
 
     def test_epsilon_out_of_range(self):
         assert run(["threshold", "--n", "8", "--epsilon", "1.5"]) == 2
+
+    @pytest.mark.parametrize("argv", [["spectrum", "--n", "6", "--m", "0"],
+                                      ["jmap", "--n", "6", "--t-max", "0"],
+                                      ["threshold", "--n-list", ","],
+                                      ["threshold", "--n-list", ""]])
+    def test_zero_and_empty_values_are_refused(self, capsys, argv):
+        # none of these falls back to the default it would replace
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_infinite_window(self):
         assert run(["jmap", "--n", "8", "--t-max", "inf", "--format", "json"]) == 2

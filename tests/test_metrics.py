@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringspin.chain import ChainSpec, CouplingProfile, dipolar_ratios, max_neighbors
 from ringspin.metrics import (
+    MIN_T_MAX,
     TimeWindow,
     accuracy_threshold,
     avg_probability,
@@ -13,14 +14,13 @@ from ringspin.metrics import (
     independent_targets,
     mean_truncation_error,
     probability_map,
-    target_multiplicities,
     transfer_metrics,
     trig_power_integral,
     truncation_error,
 )
 from ringspin.metrics import _mode_errors
 from ringspin.oracle import simpson_integral
-from ringspin.spectral import amplitude, eigenvalue_table, pair_mode_weights
+from ringspin.spectral import amplitude, eigenvalue_table, mode_multiplicities, pair_mode_weights
 
 # (1/T) int_0^T cos^4 tau dtau at T = 4, by the antiderivative
 # 3 tau/8 + sin(2 tau)/4 + sin(4 tau)/32
@@ -34,9 +34,10 @@ class TestTimeWindow:
             TimeWindow(0.0)
         with pytest.raises(ValueError):
             TimeWindow(-3.0)
-        for bad in (math.inf, math.nan):
+        for bad in (math.inf, math.nan, 1e-300, 5e-324):
             with pytest.raises(ValueError):
                 TimeWindow(bad)
+        TimeWindow(MIN_T_MAX)
 
     def test_matched_default(self):
         assert TimeWindow.matched(70).t_max == 70.0
@@ -90,7 +91,7 @@ class TestAvgProbability:
             avg_probability(spec, profile, t, window)
             for t in independent_targets(nodes)
         ])
-        mult = target_multiplicities(nodes)
+        mult = mode_multiplicities(nodes)
         assert int(mult.sum()) == nodes
         assert float(mult @ probs) == pytest.approx(1.0, abs=1e-12)
 
@@ -156,7 +157,7 @@ class TestMeanTruncationError:
             truncation_error(spec, profile, t, window)
             for t in independent_targets(nodes)
         ]
-        mult = target_multiplicities(nodes)
+        mult = mode_multiplicities(nodes)
         expected = float(mult @ np.asarray(errors)) / nodes
         assert mean_truncation_error(spec, profile, window) == pytest.approx(expected)
 
@@ -203,7 +204,7 @@ class TestKernelOracle:
     def test_maps_match_eigenvector_forms(self, make_profile, tol):
         for nodes in range(3, 25):
             profile = make_profile(nodes)
-            mult = target_multiplicities(nodes)
+            mult = mode_multiplicities(nodes)
             for factor in (0.5, 1.0, 2.3):
                 window = TimeWindow(factor * nodes)
                 ref_probs, ref_errors = eigenvector_forms(nodes, profile, window.t_max)
@@ -235,7 +236,7 @@ class TestKernelOracle:
         assert tm.targets == independent_targets(nodes)
         np.testing.assert_allclose(tm.avg_probabilities, ref_probs[m - 1], atol=1e-12)
         np.testing.assert_allclose(tm.errors, ref_errors[m - 1], atol=1e-12)
-        expected_mean = float(target_multiplicities(nodes) @ ref_errors[m - 1]) / nodes
+        expected_mean = float(mode_multiplicities(nodes) @ ref_errors[m - 1]) / nodes
         assert tm.mean_error == pytest.approx(expected_mean, abs=1e-12)
         assert mean_truncation_error(spec, profile, window) == tm.mean_error
 

@@ -5,16 +5,14 @@ from hypothesis import given, settings, strategies as st
 from ringspin.chain import ChainSpec, CouplingProfile, build_matrix, dipolar_ratios, max_neighbors
 from ringspin.oracle import expm_propagate
 from ringspin.spectral import (
-    _basis,
     amplitude,
     eigenvalue_table,
     eigenvalues,
-    eigenvectors,
     evolve,
     mode_count,
     mode_eigenvalues,
     mode_multiplicities,
-    spectrum,
+    pair_mode_weights,
     wave_numbers,
 )
 
@@ -28,38 +26,67 @@ def ring_specs(draw, max_nodes=32):
     return ChainSpec(nodes, neighbors)
 
 
+def projectors(nodes: int) -> np.ndarray:
+    """Eigenspace projectors P_m stacked on the last axis, shape (N, N, modes),
+    from one broadcast pair_mode_weights call."""
+    sites = np.arange(1, nodes + 1)
+    return pair_mode_weights(nodes, sites[:, None], sites[None, :])
+
+
+def assert_diagonalizes(G: np.ndarray, lam: np.ndarray):
+    """G P_m = lam_m P_m for every mode, and G = sum_m lam_m P_m."""
+    P = projectors(G.shape[0])
+    assert np.abs(np.einsum("ij,jkm->ikm", G, P) - P * lam).max() <= 1e-10
+    assert np.abs(G - P @ lam).max() <= 1e-10
+
+
 class TestEigenvectors:
+    """The closed form reaches its eigenvectors only through the eigenspace
+    projectors P_m, (P_m)_jk = (mult_m / N) cos(p_m (j - k))."""
+
     def test_uniform_column(self):
-        U = eigenvectors(4)
-        np.testing.assert_allclose(U[:, 0], 0.5)
+        # the uniform vector spans mode 1 alone
+        np.testing.assert_allclose(projectors(4)[..., 0], 0.25)
 
     def test_alternating_column(self):
         # the even-ring mode m = N/2+1 alternates sign site by site
-        U = eigenvectors(4)
-        np.testing.assert_allclose(U[:, 1], [-0.5, 0.5, -0.5, 0.5])
+        a = np.array([-0.5, 0.5, -0.5, 0.5])
+        np.testing.assert_allclose(projectors(4)[..., -1], np.outer(a, a), atol=1e-15)
 
     def test_pentagon_sine_column(self):
-        U = eigenvectors(5)
         k = np.arange(1, 6)
-        np.testing.assert_allclose(
-            U[:, 2], np.sqrt(2.0 / 5.0) * np.sin(2.0 * np.pi * k / 5.0), atol=1e-15
-        )
+        sine = np.sqrt(2.0 / 5.0) * np.sin(2.0 * np.pi * k / 5.0)
+        P = projectors(5)
+        np.testing.assert_allclose(P[..., 1] @ sine, sine, atol=1e-15)
+        np.testing.assert_allclose(P[..., 2] @ sine, 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("nodes", [3, 4, 5, 6, 12, 13, 37, 64, 70])
     def test_orthonormal(self, nodes):
-        U = eigenvectors(nodes)
-        gram = U.T @ U
-        assert np.abs(gram - np.eye(nodes)).max() <= 1e-12
+        """sum_m P_m = I, P_m P_n = delta_mn P_m, tr P_m = mult_m."""
+        P = projectors(nodes)
+        assert np.abs(P.sum(axis=-1) - np.eye(nodes)).max() <= 1e-12
+        products = np.einsum("ijm,jkn->mnik", P, P)
+        expected = np.einsum("mn,ikm->mnik", np.eye(mode_count(nodes)), P)
+        assert np.abs(products - expected).max() <= 1e-12
+        np.testing.assert_allclose(np.einsum("iim->m", P), mode_multiplicities(nodes),
+                                   rtol=0.0, atol=1e-12)
 
-    def test_same_object_for_every_truncation(self):
-        # the basis never depends on the interaction range
-        assert eigenvectors(12) is eigenvectors(12)
+    @given(spec=ring_specs(), j=st.lists(st.integers(1, 32), min_size=1, max_size=5))
+    def test_broadcast_weights_match_scalar_calls(self, spec, j):
+        n = spec.nodes
+        j = np.minimum(np.array(j), n)
+        k = np.arange(1, n + 1)
+        W = pair_mode_weights(n, j[:, None], k[None, :])
+        assert W.shape == (j.size, n, mode_count(n))
+        for a, jj in enumerate(j):
+            for b, kk in enumerate(k):
+                np.testing.assert_array_equal(W[a, b], pair_mode_weights(n, int(jj), int(kk)))
 
-    def test_basis_cache_is_bounded(self):
-        for nodes in range(10, 80):
-            eigenvectors(nodes)
-        info = _basis.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
+    def test_array_sites_are_bounds_checked(self):
+        with pytest.raises(ValueError):
+            pair_mode_weights(6, np.array([1, 7]), 1)
+        with pytest.raises(ValueError):
+            pair_mode_weights(6, 1, np.array([[0, 2]]))
 
     def test_mode_bookkeeping(self):
         assert mode_count(6) == 4
@@ -107,36 +134,29 @@ class TestEigenvalues:
                 table[m - 1], mode_eigenvalues(ChainSpec(nodes, m), profile)
             )
 
+    @given(spec=ring_specs(), far=st.lists(st.floats(-2.0, 2.0), min_size=15, max_size=15))
+    def test_dft_order(self, spec, far):
+        """Entry q is the DFT of the generator's first row at wave number q."""
+        for profile in (dipolar_ratios(spec.nodes), CouplingProfile((1.0, *far))):
+            np.testing.assert_allclose(
+                eigenvalues(spec, profile),
+                np.fft.fft(build_matrix(spec, profile)[0]).real, rtol=0.0, atol=1e-12,
+            )
+
     @settings(max_examples=40)
-    @given(ring_specs())
-    def test_spectral_residual(self, spec):
-        """G U = U diag(lam) for the dense generator and the closed form."""
-        profile = dipolar_ratios(spec.nodes)
-        G = build_matrix(spec, profile)
-        U = eigenvectors(spec.nodes)
-        lam = eigenvalues(spec, profile)
-        assert np.abs(G @ U - U * lam[None, :]).max() <= 1e-10
+    @given(spec=ring_specs(), far=st.lists(st.floats(-2.0, 2.0), min_size=15, max_size=15))
+    def test_spectral_residual(self, spec, far):
+        """G P_m = lam_m P_m for the dense generator and the closed form, on
+        dipolar and arbitrary custom couplings."""
+        for profile in (dipolar_ratios(spec.nodes), CouplingProfile((1.0, *far))):
+            assert_diagonalizes(build_matrix(spec, profile), mode_eigenvalues(spec, profile))
 
     @pytest.mark.parametrize("nodes", [33, 47, 48, 63, 64])
     def test_spectral_residual_large_rings(self, nodes):
         profile = dipolar_ratios(nodes)
-        U = eigenvectors(nodes)
         for m in range(1, max_neighbors(nodes) + 1):
             spec = ChainSpec(nodes, m)
-            G = build_matrix(spec, profile)
-            lam = eigenvalues(spec, profile)
-            assert np.abs(G @ U - U * lam[None, :]).max() <= 1e-10
-
-
-class TestSpectrum:
-    def test_bundles_consistently(self):
-        spec = ChainSpec(6, 2)
-        sp = spectrum(spec, dipolar_ratios(6))
-        assert sp.vectors is eigenvectors(6)
-        assert sp.mode_values.shape == (4,)
-        assert sp.values.shape == (6,)
-        np.testing.assert_array_equal(sp.values, sp.mode_values[sp.column_modes - 1])
-        assert int(sp.multiplicities.sum()) == 6
+            assert_diagonalizes(build_matrix(spec, profile), mode_eigenvalues(spec, profile))
 
 
 class TestAmplitude:
