@@ -155,8 +155,11 @@ def fit_decay(points, start=None, max_iter: int = MAX_ITERATIONS) -> FitParams:
             if _pole_inside(candidate[1], candidate[3], x_lo, x_hi):
                 damping *= 10.0
                 continue
-            r_new = decay_model(x, *candidate) - y
-            cost_new = float(r_new @ r_new)
+            # a step that overflows the model gives a cost of inf or nan,
+            # which fails the comparison below: a failed step
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_new = decay_model(x, *candidate) - y
+                cost_new = float(r_new @ r_new)
             if cost_new <= cost:
                 p, r, cost = candidate, r_new, cost_new
                 trace.append(cost)

@@ -9,22 +9,49 @@ g_a = multiplicity_a / N:
 So every window integral over [0, T] is a closed-form quadratic form,
 
     integral_0^T |p_{1,s+1}|^2 dtau = sum_{a,b} c_a(s) c_b(s) K_ab,
-    K_ab = sin((lam_a - lam_b) T) / (lam_a - lam_b),  or T when degenerate.
+    K_ab = F(lam_a - lam_b),   F(u) = sin(uT) / u  (T when degenerate).
 
 The fold cos A cos B = [cos(A-B) + cos(A+B)] / 2 turns it into a function of
 the mode-index offsets (k_a - k_b) mod N and (k_a + k_b) mod N: summing
 g_a g_b K_ab / 2 over both offsets into a length-N histogram h, the form for
 every target s = 0..N/2 is Re sum_r h_r e^{-2 pi i r s / N}, one real FFT.
-That is O(N^2) per radius and O(N^3) per (M, target) map.
+K is symmetric, so only the packed triangle a <= b is evaluated, the pairs
+a < b with double weight.
 
 The truncation error of transfer 1 -> n at radius M is the relative L2
 deviation sqrt(int |p - p_ref|^2 / int |p_ref|^2) from the all-node
-amplitude; its numerator is the fold of
-K(lam, lam) + K(lam_ref, lam_ref) - 2 K(lam, lam_ref).  Mirror symmetry makes
-targets n and N+2-n equivalent, so only n = 1..max_neighbors+1 are computed;
-the mode multiplicities weight them back to the full-ring average (targets
-and modes are the same reflection orbits of Z_N).  The scalar metrics are views
-on the same kernel; composite-Simpson quadrature is only a cross-check (see
+amplitude.  Its numerator kernel
+K(lam, lam) + K(ref, ref) - K(lam, ref) - K(ref, lam) has four terms of
+size T whose sum can be 1e-30 of them, so it is never summed as written.
+With u0 = lam'_a - lam'_b from the reference spectrum lam', and the shifts
+delta = lam - lam' taken straight from the couplings beyond M
+(`spectral.eigenvalue_shifts`), it is the mixed second difference
+Delta_alpha Delta_beta F(u0) with steps alpha = delta_a, beta = -delta_b.
+The finite-difference product rule on F = sin(uT) * (1/u) splits it into
+products in which nothing cancels:
+
+    u3 K = S (A1a A1b + A2a A2b) + C (A2a A1b - A1a A2b)
+           + delta_a (A1b C + A2b S) / u2 + delta_b (A1a C - A2a S) / u1
+           - delta_a delta_b (S / u0) (u0 + u3) / (u1 u2),
+
+with S = sin(u0 T), C = cos(u0 T), A1 = sin(delta T),
+A2 = 1 - cos(delta T) = 2 sin^2(delta T / 2), u1 = lam_a - lam'_b,
+u2 = lam'_a - lam_b and u3 = lam_a - lam_b.  The diagonal is
+2 T (1 - sinc(delta_a T)).  A pair with |u| T < POLE_SPAN for one of its
+four frequencies would divide by a small number; it takes a quadrature of
+the same difference that has no pole (`_mixed_difference`).  The
+probability kernel sin(u3 T) / u3 comes from the same tables by angle
+addition.
+
+Cost: the N^2/2 sines and cosines of u0 T are taken once per map.  A radius
+then needs O(N) sines of delta T, and O(N^2) products, a few quotients and
+the fold, so a (M, target) map is O(N^3) with no N^2 transcendental per
+radius.  Radii and pairs are processed in tiles that keep the temporaries
+in cache (`_PairKernels`).  Mirror symmetry makes targets n and N+2-n
+equivalent, so only n = 1..max_neighbors+1 are computed; the mode
+multiplicities weight them back to the full-ring average (targets and modes
+are the same reflection orbits of Z_N).  The scalar metrics are views on the
+same kernels; composite-Simpson quadrature is only a cross-check (see
 `oracle`).
 """
 
@@ -36,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, CouplingProfile, max_neighbors
-from .spectral import eigenvalue_table, mode_count, mode_eigenvalues, mode_multiplicities
+from .spectral import eigenvalue_shifts, mode_count, mode_eigenvalues, mode_multiplicities
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -84,12 +111,11 @@ def independent_targets(nodes: int) -> tuple[int, ...]:
     return tuple(range(1, max_neighbors(nodes) + 2))
 
 
-def _window_kernel(lam_a: np.ndarray, lam_b: np.ndarray, t_max: float) -> np.ndarray:
-    """K_ab = Re integral_0^T e^{-i (lam_a - lam_b) tau} dtau."""
-    delta = lam_a[:, None] - lam_b[None, :]
+def _plain_kernel(delta: np.ndarray, t_max: float) -> np.ndarray:
+    """F(delta) = Re integral_0^T e^{-i delta tau} dtau = sin(delta T) / delta,
+    T where |delta| <= DEGENERACY_TOL."""
     near = np.abs(delta) <= DEGENERACY_TOL
-    safe = np.where(near, 1.0, delta)
-    return np.where(near, t_max, np.sin(delta * t_max) / safe)
+    return np.where(near, t_max, np.sin(delta * t_max) / np.where(near, 1.0, delta))
 
 
 def trig_power_integral(coeffs, freqs, t_max: float) -> float:
@@ -102,25 +128,274 @@ def trig_power_integral(coeffs, freqs, t_max: float) -> float:
     nu = np.asarray(freqs, dtype=float)
     if c.shape != nu.shape or c.ndim != 1:
         raise ValueError("coeffs and freqs must be 1-D arrays of equal length")
-    value = float(c @ _window_kernel(nu, nu, t_max) @ c)
+    value = float(c @ _plain_kernel(nu[:, None] - nu[None, :], t_max) @ c)
     return max(value, 0.0)
 
 
-def _target_fold(nodes: int):
-    """Map a mode kernel K to sum_ab c_a(s) c_b(s) K_ab for every independent
-    target s = 0..N//2, by the offset fold of the module docstring."""
-    k = np.arange(mode_count(nodes))
-    g = mode_multiplicities(nodes) / nodes
-    half_gg = 0.5 * np.outer(g, g)
-    diff = ((k[:, None] - k[None, :]) % nodes).ravel()
-    total = ((k[:, None] + k[None, :]) % nodes).ravel()
+# Taylor coefficients in x^2 of (1 - sinc x) / x^2, sinc' x / x and sinc'' x,
+# from sinc x = sin x / x = sum_m (-1)^m x^(2m) / (2m+1)!: ten terms reach
+# rounding for |x| < 1
+_M = np.arange(1.0, 11.0)
+_TAYLOR = np.stack([-np.ones_like(_M), 2.0 * _M, 2.0 * _M * (2.0 * _M - 1.0)]) * (
+    (-1.0) ** _M / np.array([math.factorial(2 * m + 1) for m in range(1, 11)], dtype=float)
+)
 
-    def fold(kernel: np.ndarray) -> np.ndarray:
-        w = (half_gg * kernel).ravel()
-        h = np.bincount(diff, w, nodes) + np.bincount(total, w, nodes)
+
+def _taylor(x: np.ndarray, series: int) -> np.ndarray:
+    """Row `series` of _TAYLOR at x, by Horner's rule in x^2."""
+    x2 = x * x
+    total = np.full_like(x2, _TAYLOR[series, -1])
+    for c in _TAYLOR[series, -2::-1]:
+        total *= x2
+        total += c
+    return total
+
+
+def _one_minus_sinc(x: np.ndarray) -> np.ndarray:
+    """1 - sin(x)/x without cancellation at small x."""
+    small = np.abs(x) < 1.0
+    wide = np.where(small, 1.0, x)
+    return np.where(small, x * x * _taylor(x, 0), 1.0 - np.sin(wide) / wide)
+
+
+def _sinc_derivative(x: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """d^k/dx^k sin(x)/x for k = `order` in {0, 1, 2}, by the closed forms,
+    and by the Taylor series where |x| < 1."""
+    wide = np.where(x == 0.0, 1.0, x)
+    s0 = np.sin(wide) / wide
+    s1 = (np.cos(wide) - s0) / wide
+    s2 = -s0 - 2.0 * s1 / wide
+    values = np.choose(order, (s0, s1, s2))
+    small = np.nonzero(np.abs(x) < 1.0)
+    xs, ks = x[small], np.broadcast_to(order, x.shape)[small]
+    values[small] = np.choose(ks, (1.0 - xs * xs * _taylor(xs, 0), xs * _taylor(xs, 1),
+                                   _taylor(xs, 2)))
+    return values
+
+
+# Gauss-Legendre rule on [0, 1] with six nodes (Abramowitz and Stegun,
+# table 25.4): it integrates a function of exponential type GL_SPAN to
+# about 1e-14
+_GL_HALF_X = np.array([0.238619186083196908630501721681, 0.661209386466264513661399595020,
+                       0.932469514203152027812301554494])
+_GL_HALF_W = np.array([0.467913934572691047389870343990, 0.360761573048138607569833513838,
+                       0.171324492379170345040296142173])
+_GL_X = 0.5 + 0.5 * np.concatenate((-_GL_HALF_X, _GL_HALF_X))
+_GL_W = 0.5 * np.concatenate((_GL_HALF_W, _GL_HALF_W))
+GL_SPAN = 2.0
+# the plain difference g(v + step) - g(v) on as many nodes: nodes 0 and 1
+# with weights -1 and 1, the rest with weight 0
+_DIFFERENCE_X = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+_DIFFERENCE_W = np.array([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+# an off-diagonal pair whose |u| T is below this for any of its four
+# frequencies u goes to `_mixed_difference`, which has no pole
+POLE_SPAN = 1.0
+# kernel entries per tile (class `_PairKernels`)
+TILE = 1 << 14
+
+
+def _difference_rule(step: np.ndarray, t_max: float):
+    """Nodes x, weights w and derivative order k with
+    g(v + step) - g(v) = sum_i w_i g^(k)(v + x_i) for g = sin(uT)/u:
+    step * int_0^1 g'(v + s step) ds by Gauss-Legendre (k = 1) where
+    |step| T <= GL_SPAN, the plain difference (k = 0) elsewhere."""
+    small = (np.abs(step) * t_max <= GL_SPAN)[:, None]
+    x = step[:, None] * np.where(small, _GL_X, _DIFFERENCE_X)
+    w = np.where(small, step[:, None] * _GL_W, _DIFFERENCE_W)
+    return x, w, small[:, 0].astype(int)
+
+
+def _mixed_difference(u0: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                      t_max: float) -> np.ndarray:
+    """F(u0+alpha+beta) - F(u0+alpha) - F(u0+beta) + F(u0), F(u) = sin(uT)/u,
+    without a pole: each of the two differences is a Gauss-Legendre
+    integral of a derivative of F when its step is short (so a short step
+    loses nothing to cancellation) and a plain difference when it is long."""
+    xa, wa, ka = _difference_rule(alpha, t_max)
+    xb, wb, kb = _difference_rule(beta, t_max)
+    order = (ka + kb)[:, None, None]
+    x = (u0[:, None, None] + xa[:, :, None] + xb[:, None, :]) * t_max
+    values = _sinc_derivative(x, order) * t_max ** (order + 1.0)
+    return ((wa[:, :, None] * wb[:, None, :]) * values).sum(axis=(1, 2))
+
+
+class _PairKernels:
+    """Window kernels of one map on the packed triangle of mode pairs, from
+    trig tables of the reference spectrum lam_ref, and their fold onto the
+    independent targets.
+
+    The diagonal a = b is kept apart from the strict upper triangle a < b,
+    which carries double weight because every kernel here is symmetric.  The
+    pair weights g_a g_b are folded into the tables sin(u0 T), cos(u0 T) and
+    sin(u0 T) / u0, so a kernel comes out weighted.  A map is computed tile
+    by tile, a tile being a block of radii times a chunk of pairs of at most
+    TILE entries, and every tile-sized array lives in a workspace allocated
+    once per map: allocating fresh arrays of that size per operation costs
+    more than the arithmetic on them.
+    """
+
+    def __init__(self, nodes: int, lam_ref: np.ndarray, t_max: float, radii: int):
+        """Tables for maps of at most `radii` rows of shifts."""
+        self.nodes, self.modes, self.t_max = nodes, mode_count(nodes), t_max
+        k = np.arange(self.modes)
+        self.ia, self.ib = np.nonzero(k[:, None] < k)  # the strict upper triangle
+        g = mode_multiplicities(nodes) / nodes
+        self.weights = g[self.ia] * g[self.ib]
+        self.diag_weights = 0.5 * g * g
+        self.u0 = u0 = lam_ref[self.ia] - lam_ref[self.ib]
+        self.near_u0 = np.abs(u0) * t_max < POLE_SPAN
+        self.sin, self.cos, self.sin_u0 = (self.weights * v for v in (
+            np.sin(u0 * t_max), np.cos(u0 * t_max), _plain_kernel(u0, t_max)))
+        chunk = min(self.ia.size, TILE)
+        self.rows = max(1, min(TILE // chunk, radii))
+        # room for two gathers of three tables and seven working arrays
+        self._workspace = np.empty(13 * self.rows * chunk)
+        # histogram bins of the offsets k_a - k_b and k_a + k_b of each tile
+        # row (module docstring); row i of a block starts at bin i N
+        start = nodes * np.arange(self.rows)[:, None]
+        self.diag_bins = (start + 0 * k, start + 2 * k % nodes)
+        self.bins = diff, total = (self.ia - self.ib) % nodes, (self.ia + self.ib) % nodes
+        self.chunks = []
+        for i in range(0, self.ia.size, chunk):
+            c = slice(i, min(i + chunk, self.ia.size))
+            self.chunks.append((c, start + diff[c], start + total[c]))
+
+    def map(self, diagonal, off_diagonal, near, shifts: np.ndarray) -> np.ndarray:
+        """sum_ab c_a(s) c_b(s) K_ab for every row of shifts and every
+        target s, with K given by diagonal(block), by off_diagonal(block,
+        chunk), whose weighted entries come with a mask of those near a
+        pole, and by near(shifts, rows, pairs), which evaluates the masked
+        entries, unweighted, once per map."""
+        h = np.zeros((shifts.shape[0], self.nodes))
+        flagged = [(np.zeros(0, int), np.zeros(0, int))]
+        for r in range(0, shifts.shape[0], self.rows):
+            block, hist = shifts[r : r + self.rows], h[r : r + self.rows]
+            n = block.shape[0]
+            diff, total = self.diag_bins
+            _accumulate(hist, diagonal(block) * self.diag_weights, diff[:n], total[:n])
+            for chunk, diff, total in self.chunks:
+                values, poles = off_diagonal(block, chunk)
+                if poles.any():
+                    rows, pairs = np.nonzero(poles)
+                    values[rows, pairs] = 0.0
+                    flagged.append((rows + r, pairs + chunk.start))
+                _accumulate(hist, values, diff[:n], total[:n])
+        rows, pairs = (np.concatenate(i) for i in zip(*flagged))
+        # a near-pole entry costs up to 36 evaluations: keep each batch a tile
+        step = max(1, TILE // _GL_X.size**2)
+        for i in range(0, rows.size, step):
+            r, p = rows[i : i + step], pairs[i : i + step]
+            diff, total = (b[p] + self.nodes * r for b in self.bins)
+            _accumulate(h, near(shifts, r, p) * self.weights[p], diff, total)
+        return np.fft.rfft(h, axis=1).real
+
+    def reference(self) -> np.ndarray:
+        """sum_ab c_a(s) c_b(s) K_ab for every target s, K the plain kernel
+        of lam_ref: T on the diagonal and sin(u0 T) / u0 off it."""
+        h = np.zeros(self.nodes)
+        diff, total = self.diag_bins
+        _accumulate(h, self.t_max * self.diag_weights, diff[0], total[0])
+        _accumulate(h, self.sin_u0, *self.bins)
         return np.fft.rfft(h).real
 
-    return fold
+    def _gathered(self, block: np.ndarray, second, chunk: slice):
+        """Per pair of the chunk and row of the block: delta, sin(delta T)
+        and second(delta T) of mode a and of mode b, then the seven free
+        workspace arrays of the tile."""
+        t, n, m = self.t_max, block.shape[0], chunk.stop - chunk.start
+        tables = np.concatenate((block, np.sin(block * t), second(block * t)))
+        size = n * m
+        at_a, at_b = (self._workspace[i * size : (i + 3) * size].reshape(3 * n, m) for i in (0, 3))
+        work = [self._workspace[i * size : (i + 1) * size].reshape(n, m) for i in range(6, 13)]
+        # the indices are in range; mode "clip" lets take write straight into out
+        np.take(tables, self.ia[chunk], axis=1, out=at_a, mode="clip")
+        np.take(tables, self.ib[chunk], axis=1, out=at_b, mode="clip")
+        return (at_a[:n], at_b[:n], at_a[n : 2 * n], at_b[n : 2 * n], at_a[2 * n :],
+                at_b[2 * n :], *work)
+
+    def probability_diagonal(self, block: np.ndarray) -> np.ndarray:
+        return np.full(block.shape, self.t_max)
+
+    def probability(self, block: np.ndarray, chunk: slice):
+        """K_ab = sin((lam_a - lam_b) T) / (lam_a - lam_b) for
+        lam = lam_ref + shifts, by angle addition on the tables:
+        sin(u3 T) = cos_b (S cos_a + C sin_a) + sin_b (S sin_a - C cos_a)."""
+        da, db, sa, sb, ca, cb, u3, x, y, *_ = self._gathered(block, np.cos, chunk)
+        s, c = self.sin[chunk], self.cos[chunk]
+        np.add(self.u0[chunk], da, out=u3)
+        u3 -= db
+        np.multiply(s, ca, out=x)
+        np.multiply(c, sa, out=y)
+        x += y
+        x *= cb
+        np.multiply(s, sa, out=y)
+        y -= np.multiply(c, ca, out=ca)
+        y *= sb
+        x += y
+        x /= u3
+        return x, np.abs(u3, out=u3) < POLE_SPAN / self.t_max
+
+    def probability_near(self, shifts: np.ndarray, rows, pairs) -> np.ndarray:
+        """The plain quotient (T when degenerate) where |u3| T < POLE_SPAN:
+        there it loses nothing to the rounding of u0 T."""
+        u3 = self.u0[pairs] + shifts[rows, self.ia[pairs]] - shifts[rows, self.ib[pairs]]
+        return _plain_kernel(u3, self.t_max)
+
+    def error_diagonal(self, block: np.ndarray) -> np.ndarray:
+        """K_aa = 2 (F(0) - F(delta_a)) = 2 T (1 - sinc(delta_a T))."""
+        return 2.0 * self.t_max * _one_minus_sinc(block * self.t_max)
+
+    def error(self, block: np.ndarray, chunk: slice):
+        """The error-numerator kernel K(lam, lam) + K(ref, ref) - K(lam, ref)
+        - K(ref, lam), by the product rule of the module docstring:
+        u3 K = A1b X - A2b Q + delta_a (P - delta_b S/u0) / u2
+               + delta_b (Q - delta_a S/u0) / u1,
+        X = S A1a + C A2a, Q = C A1a - S A2a, P = C A1b + S A2b."""
+        da, db, a1a, a1b, a2a, a2b, u1, u2, u3, x, p, q, tmp = self._gathered(
+            block, _one_minus_cos, chunk)
+        u0, s, c, q0 = self.u0[chunk], self.sin[chunk], self.cos[chunk], self.sin_u0[chunk]
+        np.add(u0, da, out=u1)
+        np.subtract(u0, db, out=u2)
+        np.subtract(u1, db, out=u3)
+        np.multiply(s, a1a, out=x)
+        x += np.multiply(c, a2a, out=tmp)
+        x *= a1b
+        np.multiply(c, a1a, out=q)
+        q -= np.multiply(s, a2a, out=tmp)
+        x -= np.multiply(a2b, q, out=tmp)
+        np.multiply(c, a1b, out=p)
+        p += np.multiply(s, a2b, out=tmp)
+        p -= np.multiply(db, q0, out=tmp)
+        p *= da
+        p /= u2
+        x += p
+        q -= np.multiply(da, q0, out=tmp)
+        q *= db
+        q /= u1
+        x += q
+        x /= u3
+        np.minimum(np.abs(u1, out=u1), np.abs(u2, out=u2), out=u1)
+        np.minimum(u1, np.abs(u3, out=u3), out=u1)
+        near = u1 < POLE_SPAN / self.t_max
+        near |= self.near_u0[chunk]
+        return x, near
+
+    def error_near(self, shifts: np.ndarray, rows, pairs) -> np.ndarray:
+        return _mixed_difference(self.u0[pairs], shifts[rows, self.ia[pairs]],
+                                 -shifts[rows, self.ib[pairs]], self.t_max)
+
+
+def _one_minus_cos(x: np.ndarray) -> np.ndarray:
+    """1 - cos x = 2 sin^2(x/2), without cancellation at small x."""
+    return 2.0 * np.sin(0.5 * x) ** 2
+
+
+def _accumulate(hist: np.ndarray, values: np.ndarray, diff, total) -> None:
+    """Add each value to the flat bins diff and total of `hist`."""
+    w = values.ravel()
+    flat = hist.reshape(-1)
+    flat += np.bincount(diff.ravel(), w, flat.size)
+    flat += np.bincount(total.ravel(), w, flat.size)
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -130,32 +405,33 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _mode_probabilities(nodes: int, lam_rows: np.ndarray, t_max: float) -> np.ndarray:
+def _mode_probabilities(
+    nodes: int, lam_ref: np.ndarray, shifts: np.ndarray, t_max: float
+) -> np.ndarray:
     """Window-averaged probabilities 1 -> n (columns: independent targets)
-    for each row of mode eigenvalues."""
-    fold = _target_fold(nodes)
+    for the spectra lam_ref + each row of shifts."""
     with np.errstate(all="ignore"):
-        forms = np.array([fold(_window_kernel(lam, lam, t_max)) for lam in lam_rows])
+        pairs = _PairKernels(nodes, lam_ref, t_max, shifts.shape[0])
+        forms = pairs.map(pairs.probability_diagonal, pairs.probability,
+                          pairs.probability_near, shifts)
     return _finite(np.maximum(forms, 0.0) / t_max)
 
 
 def _mode_errors(
-    nodes: int, lam_rows: np.ndarray, lam_ref: np.ndarray, t_max: float
+    nodes: int, lam_ref: np.ndarray, shifts: np.ndarray, t_max: float
 ) -> np.ndarray:
-    """Truncation errors (columns: independent targets) of each row of mode
-    eigenvalues against the reference spectrum lam_ref."""
-    fold = _target_fold(nodes)
+    """Truncation errors (columns: independent targets) of the spectra
+    lam_ref + each row of shifts against the reference spectrum lam_ref."""
     with np.errstate(all="ignore"):
-        k_ref = _window_kernel(lam_ref, lam_ref, t_max)
-        den = fold(k_ref)
+        pairs = _PairKernels(nodes, lam_ref, t_max, shifts.shape[0])
+        den = _finite(pairs.reference())
         if np.any(den <= 0.0):
             raise ValueError("degenerate window: reference amplitude has no power")
-        num = np.array([
-            fold(_window_kernel(lam, lam, t_max) + k_ref
-                 - 2.0 * _window_kernel(lam, lam_ref, t_max))
-            for lam in lam_rows
-        ])
-        return _finite(np.sqrt(np.maximum(num, 0.0) / den))
+        num = _finite(pairs.map(pairs.error_diagonal, pairs.error, pairs.error_near, shifts))
+    if np.any(num < 0.0):
+        raise ValueError("negative truncation-error power: the window integrals "
+                         "lost their precision")
+    return _finite(np.sqrt(num / den))
 
 
 def _target_index(nodes: int, target: int) -> int:
@@ -171,7 +447,8 @@ def avg_probability(
     """Transfer probability |p_{1,target}(tau)|^2 averaged over the window."""
     i = _target_index(spec.nodes, target)
     lam = mode_eigenvalues(spec, profile)
-    return float(_mode_probabilities(spec.nodes, lam[None], window.t_max)[0, i])
+    return float(_mode_probabilities(spec.nodes, lam, np.zeros((1, lam.size)),
+                                     window.t_max)[0, i])
 
 
 def truncation_error(
@@ -207,13 +484,13 @@ def transfer_metrics(
 ) -> TransferMetrics:
     """Probabilities and truncation errors of every independent target at
     one radius; the profile must cover the full range for the reference."""
-    table = eigenvalue_table(ChainSpec.all_neighbors(spec.nodes), profile)
-    lam = table[spec.neighbors - 1 : spec.neighbors]
-    probs = _mode_probabilities(spec.nodes, lam, window.t_max)[0]
+    lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(spec.nodes), profile)
+    shift = shifts[spec.neighbors - 1 : spec.neighbors]
+    probs = _mode_probabilities(spec.nodes, lam_ref, shift, window.t_max)[0]
     if spec.untruncated:
         errors = np.zeros_like(probs)  # truncated and reference dynamics coincide
     else:
-        errors = _mode_errors(spec.nodes, lam, table[-1], window.t_max)[0]
+        errors = _mode_errors(spec.nodes, lam_ref, shift, window.t_max)[0]
     mult = mode_multiplicities(spec.nodes)
     return TransferMetrics(
         targets=independent_targets(spec.nodes),
@@ -231,8 +508,8 @@ def probability_map(
     Returns an array of shape (max_neighbors, targets): row M-1 holds the
     window-averaged probabilities 1 -> n for n in independent_targets.
     """
-    table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
-    return _mode_probabilities(nodes, table, window.t_max)
+    lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
+    return _mode_probabilities(nodes, lam_ref, shifts, window.t_max)
 
 
 def error_map(
@@ -244,9 +521,9 @@ def error_map(
     means the parity-weighted average per radius.  The full-range row is
     exactly zero, because it reproduces the reference.
     """
-    table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
-    errors = _mode_errors(nodes, table, table[-1], window.t_max)
-    errors[-1] = 0.0
+    lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
+    errors = np.zeros((shifts.shape[0], mode_count(nodes)))
+    errors[:-1] = _mode_errors(nodes, lam_ref, shifts[:-1], window.t_max)
     means = (errors @ mode_multiplicities(nodes)) / nodes
     return errors, means
 

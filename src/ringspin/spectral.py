@@ -34,6 +34,7 @@ from .chain import ChainSpec, CouplingProfile
 
 __all__ = [
     "amplitude",
+    "eigenvalue_shifts",
     "eigenvalue_table",
     "eigenvalues",
     "evolve",
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 STATE_NORM_TOL = 1e-9
+# largest eigenvalue magnitude accepted: the difference of two stays finite
+_MAX_EIGENVALUE = float(np.finfo(float).max) / 4
 
 
 def mode_count(nodes: int) -> int:
@@ -68,13 +71,19 @@ def mode_multiplicities(nodes: int) -> np.ndarray:
     return mult
 
 
-def eigenvalue_table(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
-    """Mode eigenvalues for every truncation radius M = 1..spec.neighbors.
+def _checked(values: np.ndarray) -> np.ndarray:
+    """`values`, refused when an eigenvalue overflowed or is so large that
+    the difference of two of them would."""
+    if not np.all(np.abs(values) <= _MAX_EIGENVALUE):
+        raise ValueError("couplings too large: the eigenvalues of this profile overflow")
+    return values
 
-    Row M-1 holds lam_m(M) = 2 sum_{j<=M} d_j cos(p_m j), so the whole table
-    is one cumulative sum over j.  On an even ring the j = N/2 term is
-    halved: the opposite node is a single neighbour, not a pair.
-    """
+
+def _eigenvalue_terms(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
+    """2 d_j cos(p_m j) for j = 1..spec.neighbors (rows) and every mode; on
+    an even ring the j = N/2 term is halved: the opposite node is a single
+    neighbour, not a pair.  Callers sum the terms under np.errstate and
+    check the sums, so an overflow is refused as a profile error."""
     if len(profile) < spec.neighbors:
         raise ValueError(
             f"profile has {len(profile)} couplings but neighbors={spec.neighbors}"
@@ -84,7 +93,33 @@ def eigenvalue_table(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
     terms = 2.0 * ratios[:, None] * np.cos(np.outer(j, wave_numbers(spec.nodes)))
     if 2 * spec.neighbors == spec.nodes:
         terms[-1] *= 0.5
-    return np.cumsum(terms, axis=0)
+    return terms
+
+
+def eigenvalue_table(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
+    """Mode eigenvalues for every truncation radius M = 1..spec.neighbors.
+
+    Row M-1 holds lam_m(M) = 2 sum_{j<=M} d_j cos(p_m j), so the whole table
+    is one cumulative sum over j.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _checked(np.cumsum(_eigenvalue_terms(spec, profile), axis=0))
+
+
+def eigenvalue_shifts(spec: ChainSpec, profile: CouplingProfile) -> tuple[np.ndarray, np.ndarray]:
+    """(lam_ref, shifts): the mode eigenvalues at radius spec.neighbors, and
+    for every radius M = 1..spec.neighbors the shift lam_m(M) - lam_ref,
+    which is minus the sum of the terms beyond M.
+
+    The shifts come from one reverse cumulative sum, never as the difference
+    of two rounded table rows, so a tail of couplings far below one ulp of
+    the eigenvalues still shifts them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails = _checked(np.cumsum(_eigenvalue_terms(spec, profile)[::-1], axis=0)[::-1])
+    shifts = np.zeros_like(tails)
+    shifts[:-1] = -tails[1:]
+    return tails[0], shifts
 
 
 def mode_eigenvalues(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:

@@ -147,6 +147,13 @@ class TestFitCommand:
         assert rows[0][6:] == [str(int(fp.converged)), str(fp.iterations),
                                format(fp.condition_number, ".15g")]
 
+    def test_short_window_fit_runs_clean(self, capsys):
+        """Trial steps that overflow the model are rejected as failed
+        steps, with no RuntimeWarning (an error in this suite)."""
+        assert run(["fit", "--n-list", "46,70", "--t-max", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["46", "70"]
+
     def test_too_short_chain_is_bad_config(self):
         assert run(["fit", "--n", "8"]) == 2
 
@@ -354,6 +361,27 @@ class TestBadConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["threshold", "jmap", "probmap"])
+    def test_overflowing_coupling_is_a_profile_error(self, tmp_path, capsys, command):
+        # a finite coupling whose eigenvalues overflow blames the profile,
+        # not the window, and leaks no RuntimeWarning (an error in this suite)
+        path = tmp_path / "profile.txt"
+        path.write_text("1.0\n1e308\n0.5\n0.1\n0.1\n")
+        assert run([command, "--n", "10", "--profile", f"custom:{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "couplings" in captured.err
+        assert "t_max" not in captured.err
+
+    def test_negative_error_power_is_refused(self, monkeypatch, capsys):
+        import ringspin.metrics
+        monkeypatch.setattr(ringspin.metrics._PairKernels, "error_diagonal",
+                            lambda self, block: np.full(block.shape, -1.0))
+        assert run(["jmap", "--n", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative" in captured.err
 
     @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "1e-12"])
     def test_bad_quadrature_step(self, capsys, step):

@@ -1,8 +1,9 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from ringspin.chain import ChainSpec, CouplingProfile, dipolar_ratios, max_neighbors
 from ringspin.metrics import (
@@ -18,9 +19,10 @@ from ringspin.metrics import (
     trig_power_integral,
     truncation_error,
 )
-from ringspin.metrics import _mode_errors
+from ringspin.metrics import _mixed_difference, _mode_errors, _PairKernels
 from ringspin.oracle import simpson_integral
-from ringspin.spectral import amplitude, eigenvalue_table, mode_multiplicities, pair_mode_weights
+from ringspin.spectral import (amplitude, eigenvalue_shifts, eigenvalue_table,
+                               mode_multiplicities, pair_mode_weights)
 
 # (1/T) int_0^T cos^4 tau dtau at T = 4, by the antiderivative
 # 3 tau/8 + sin(2 tau)/4 + sin(4 tau)/32
@@ -134,12 +136,12 @@ class TestTruncationError:
         relative error unchanged; checked at the mode level because the
         public profile type pins d_1 = 1."""
         nodes, m = 11, 2
-        table = eigenvalue_table(ChainSpec.all_neighbors(nodes), dipolar_ratios(nodes))
-        lam, lam_ref = table[m - 1 : m], table[-1]
-        base = _mode_errors(nodes, lam, lam_ref, 11.0)
+        lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), dipolar_ratios(nodes))
+        shift = shifts[m - 1 : m]
+        base = _mode_errors(nodes, lam_ref, shift, 11.0)
         assert np.all(base > 1e-3)
         for c in (0.25, 3.0, 17.0):
-            scaled = _mode_errors(nodes, c * lam, c * lam_ref, 11.0 / c)
+            scaled = _mode_errors(nodes, c * lam_ref, c * shift, 11.0 / c)
             np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=0.0)
 
 
@@ -162,10 +164,11 @@ class TestMeanTruncationError:
         assert mean_truncation_error(spec, profile, window) == pytest.approx(expected)
 
 
-def steep_profile(nodes: int) -> CouplingProfile:
-    """d_k = e^{-2(k-1)}: far couplings so weak that truncation errors sit
-    at the cancellation floor of the closed-form numerator (about 1e-8)."""
-    return CouplingProfile(tuple(np.exp(-2.0 * np.arange(max_neighbors(nodes)))))
+def steep_profile(nodes: int, rate: float = 2.0) -> CouplingProfile:
+    """d_k = e^{-rate (k-1)}: far couplings so weak that truncation errors
+    fall far below the cancellation floor (about 1e-8) of a four-term
+    numerator such as `eigenvector_forms`."""
+    return CouplingProfile(tuple(np.exp(-rate * np.arange(max_neighbors(nodes)))))
 
 
 def eigenvector_forms(nodes: int, profile: CouplingProfile, t_max: float):
@@ -273,3 +276,199 @@ class TestAccuracyThreshold:
             accuracy_threshold(8, dipolar_ratios(8), 0.0, TimeWindow(8.0))
         with pytest.raises(ValueError):
             accuracy_threshold(8, dipolar_ratios(8), 1.0, TimeWindow(8.0))
+
+
+def exact_maps(nodes: int, ratios, t_max: float, targets, digits: int = 50):
+    """(probabilities, errors) at every radius for the given targets, with
+    `digits` significant digits: mpmath for every sine and cosine, Python's
+    decimal for the O(modes^2) pair sums (about ten times faster than mpmath
+    numbers).  Eigenvalues are summed from their cosine formula, and the
+    error numerator is the plain four-term form: at this precision its
+    cancellation costs nothing the test can see."""
+    mpmath = pytest.importorskip("mpmath")
+    ctx = decimal.Context(prec=digits)
+
+    def dec(x):
+        return decimal.Decimal(mpmath.nstr(x, digits + 5))
+
+    with mpmath.workdps(digits + 10), decimal.localcontext(ctx):
+        modes, nf = nodes // 2 + 1, max_neighbors(nodes)
+        t = mpmath.mpf(t_max)
+        p = [2 * mpmath.pi * m / nodes for m in range(modes)]
+        lams, lam = [], [mpmath.mpf(0)] * modes
+        for j in range(1, nf + 1):
+            c = mpmath.mpf(ratios[j - 1]) * (1 if 2 * j == nodes else 2)
+            lam = [x + c * mpmath.cos(p[m] * j) for m, x in enumerate(lam)]
+            lams.append(lam)
+        mult = mode_multiplicities(nodes)
+        coef = {s: np.array([dec(mpmath.mpf(int(mult[m])) / nodes * mpmath.cos(p[m] * (s - 1)))
+                             for m in range(modes)], dtype=object) for s in targets}
+        td = dec(t)
+
+        def kernel(x, y, diagonal=None):
+            """sin((x_a - y_b) T) / (x_a - y_b), T where they coincide."""
+            sx, cx, sy, cy = ([dec(f(v * t)) for v in w] for f, w in
+                              ((mpmath.sin, x), (mpmath.cos, x), (mpmath.sin, y), (mpmath.cos, y)))
+            out = np.empty((modes, modes), dtype=object)
+            for a in range(modes):
+                for b in range(modes):
+                    gap = dec(x[a]) - dec(y[b])
+                    out[a, b] = td if gap == 0 else (sx[a] * cy[b] - cx[a] * sy[b]) / gap
+            for a, value in (diagonal or {}).items():
+                out[a, a] = value
+            return out
+
+        ref = lams[-1]
+        k_ref = kernel(ref, ref)
+        den = {s: coef[s] @ k_ref @ coef[s] for s in targets}
+        probs, errors = [], []
+        for lam in lams:
+            k_lam = kernel(lam, lam)
+            probs.append([float(coef[s] @ k_lam @ coef[s] / td) for s in targets])
+            if lam == ref:  # no coupling beyond this radius: the reference itself
+                errors.append([0.0] * len(targets))
+                continue
+            # the (a, a) entries of K(lam, ref) straight from sin(delta T) / delta
+            cross = {a: dec(mpmath.sin(d * t) / d) if d else td
+                     for a, d in enumerate(x - y for x, y in zip(lam, ref))}
+            k_cross = kernel(lam, ref, cross)
+            num = k_lam + k_ref - k_cross - k_cross.T
+            errors.append([float((coef[s] @ num @ coef[s] / den[s]).sqrt()) for s in targets])
+    return np.array(probs), np.array(errors)
+
+
+class TestHighPrecisionOracle:
+    """The maps against a 50-digit evaluation.  The steep N = 70, 71 rings
+    reach errors of 1e-29, whose numerator is 1e-58 of the kernel terms, so
+    their oracle carries 90 digits."""
+
+    @pytest.mark.parametrize(
+        "make_profile, nodes, digits",
+        [(dipolar_ratios, 31, 50), (dipolar_ratios, 40, 50), (dipolar_ratios, 70, 50),
+         (dipolar_ratios, 71, 50), (steep_profile, 31, 50), (steep_profile, 40, 50),
+         (steep_profile, 70, 90), (steep_profile, 71, 90)],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_every_radius_matches(self, make_profile, nodes, digits):
+        profile = make_profile(nodes)
+        window = TimeWindow.matched(nodes)
+        targets = (1, 4, nodes // 2 + 1)
+        probs, errors = exact_maps(nodes, profile.ratios, window.t_max, targets, digits)
+        cols = [t - 1 for t in targets]
+        got_errors, _ = error_map(nodes, profile, window)
+        np.testing.assert_allclose(got_errors[:-1, cols], errors[:-1], rtol=1e-10, atol=0.0)
+        assert np.all(got_errors[-1] == 0.0)
+        np.testing.assert_allclose(probability_map(nodes, profile, window)[:, cols], probs,
+                                   rtol=0.0, atol=1e-14)
+
+    @given(nodes=st.integers(3, 14),
+           couplings=st.lists(st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]),
+                              min_size=6, max_size=6),
+           factor=st.sampled_from([0.3, 1.0, 2.7]))
+    @settings(max_examples=25, deadline=None)
+    def test_random_custom_profiles_match(self, nodes, couplings, factor):
+        """Couplings from a coarse grid make exactly degenerate reference
+        and truncated spectra common, so the pole-free fallback runs."""
+        profile = CouplingProfile((1.0, *couplings[: max_neighbors(nodes) - 1]))
+        window = TimeWindow(factor * nodes)
+        targets = independent_targets(nodes)
+        probs, errors = exact_maps(nodes, profile.ratios, window.t_max, targets)
+        got_errors, _ = error_map(nodes, profile, window)
+        np.testing.assert_allclose(got_errors, errors, rtol=1e-10, atol=1e-300)
+        np.testing.assert_allclose(probability_map(nodes, profile, window), probs,
+                                   rtol=0.0, atol=1e-14)
+
+
+def four_term_sum(u0, alpha, beta, t_max):
+    """F(u0+alpha+beta) - F(u0+alpha) - F(u0+beta) + F(u0), F(u) = sin(uT)/u,
+    summed directly, with the sum of the absolute terms."""
+    terms = [t_max * np.sinc(u * t_max / np.pi) for u in
+             (u0 + alpha + beta, u0 + alpha, u0 + beta, u0)]
+    return terms[0] - terms[1] - terms[2] + terms[3], sum(abs(v) for v in terms)
+
+
+def pair_kernel(u0, alpha, beta, t_max):
+    """The error kernel of one pair as the maps compute it: the product form
+    of a two-mode spectrum, or its fallback where the pair is near a pole."""
+    pairs = _PairKernels(3, np.array([u0, 0.0]), t_max, 1)
+    shifts = np.array([[alpha, -beta]])
+    with np.errstate(all="ignore"):
+        values, near = pairs.error(shifts, pairs.chunks[0][0])
+    if near[0, 0]:
+        return pairs.error_near(shifts, np.array([0]), np.array([0]))[0], True
+    return values[0, 0] / pairs.weights[0], False
+
+
+class TestNearPoleKernel:
+    @given(t_max=st.floats(1.0, 1000.0),
+           u0=st.floats(-4.0, 4.0),
+           alpha=st.floats(-1.0, 1.0),
+           beta=st.floats(-1.0, 1.0),
+           pole=st.sampled_from(["u0", "u1", "u2", "u3"]),
+           gap=st.floats(-20.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_four_term_sum(self, t_max, u0, alpha, beta, pole, gap):
+        """One of the four frequencies is put within 10^gap / T of zero;
+        where the direct sum is well conditioned, the kernel agrees with it."""
+        near_zero = math.copysign(10.0**gap, u0) / t_max
+        if pole == "u0":
+            u0 = near_zero
+        elif pole == "u1":
+            alpha = near_zero - u0
+        elif pole == "u2":
+            beta = near_zero - u0
+        else:
+            beta = near_zero - u0 - alpha
+        value, flagged = pair_kernel(u0, alpha, beta, t_max)
+        event("fallback" if flagged else "product form")
+        direct, size = four_term_sum(u0, alpha, beta, t_max)
+        assume(size <= 1e4 * abs(direct))
+        assert value == pytest.approx(direct, rel=1e-9)
+
+    def test_fallback_on_degenerate_reference_and_zero_steps(self):
+        t = 50.0
+        # u0 = 0: the mixed difference is F(a+b) - F(a) - F(b) + F(0)
+        direct, _ = four_term_sum(0.0, 0.3, -0.2, t)
+        assert _mixed_difference(np.array([0.0]), np.array([0.3]), np.array([-0.2]), t)[0] \
+            == pytest.approx(direct, rel=1e-12)
+        # a zero step gives exactly zero, whatever u0
+        assert _mixed_difference(np.array([1e-9]), np.array([0.0]), np.array([0.4]), t)[0] == 0.0
+        # short steps: alpha beta F''(u0) to leading order
+        a = b = 1e-9
+        expected = a * b * t**3 * (-1.0 / 3.0)
+        assert _mixed_difference(np.array([0.0]), np.array([a]), np.array([b]), t)[0] \
+            == pytest.approx(expected, rel=1e-6)
+
+
+class TestCancellationFree:
+    def test_steep_ring_has_no_zero_errors(self):
+        """Every radius below the full one has a positive error, down to
+        1e-29 on the steep N = 70 ring."""
+        errors, _ = error_map(70, steep_profile(70), TimeWindow(70.0))
+        assert np.all(errors[:-1] > 0.0)
+        assert errors[:-1].min() < 1e-28
+
+    @pytest.mark.parametrize("epsilon, expected", [(1e-6, 9), (1e-8, 12), (1e-10, 14)])
+    def test_steep_thresholds(self, epsilon, expected):
+        """d_k = e^{-2(k-1)}, N = 40, T = N: the Gauss-Legendre thresholds."""
+        result = accuracy_threshold(40, steep_profile(40), epsilon, TimeWindow(40.0))
+        assert result.min_neighbors == expected
+
+    def test_shifts_survive_a_tail_below_one_ulp(self):
+        """A tail far below one ulp of the eigenvalues vanishes from the
+        difference of two table rows, but not from the shifts."""
+        profile = CouplingProfile((1.0, 0.5, 1e-20))
+        spec = ChainSpec.all_neighbors(7)
+        lam_ref, shifts = eigenvalue_shifts(spec, profile)
+        table = eigenvalue_table(spec, profile)
+        np.testing.assert_allclose(shifts + lam_ref, table, rtol=0.0, atol=1e-15)
+        assert np.all(table[1] == table[2])
+        assert np.all(shifts[1] != 0.0) and np.all(shifts[2] == 0.0)
+        errors, _ = error_map(7, profile, TimeWindow(7.0))
+        assert np.all(errors[1] > 1e-21) and np.all(errors[1] < 1e-18)
+
+    def test_negative_numerator_is_refused(self, monkeypatch):
+        monkeypatch.setattr(_PairKernels, "error_diagonal",
+                            lambda self, block: np.full(block.shape, -1.0))
+        with pytest.raises(ValueError, match="negative"):
+            error_map(8, dipolar_ratios(8), TimeWindow(8.0))

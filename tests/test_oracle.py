@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ringspin import oracle
 from ringspin.chain import ChainSpec, build_matrix, dipolar_ratios
 from ringspin.oracle import dense_eigen, expm_propagate, simpson_integral
 from ringspin.spectral import eigenvalues
@@ -72,6 +73,24 @@ class TestExpmPropagate:
         v /= np.linalg.norm(v)
         out = expm_propagate(G, v, 17.3)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-10)
+
+    def test_decomposition_serves_many_propagations(self):
+        G = build_matrix(ChainSpec(9, 4), dipolar_ratios(9))
+        eig = dense_eigen(G)
+        rng = np.random.default_rng(3)
+        for tau in (0.1, 2.0, 9.0):
+            v = rng.normal(size=9) + 1j * rng.normal(size=9)
+            v /= np.linalg.norm(v)
+            np.testing.assert_array_equal(expm_propagate(eig, v, tau), expm_propagate(G, v, tau))
+        with pytest.raises(ValueError):
+            expm_propagate(eig, np.ones(8, dtype=complex) / np.sqrt(8), 1.0)
+
+    def test_check_propagator_decomposes_each_generator_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "dense_eigen",
+                            lambda matrix: calls.append(1) or dense_eigen(matrix))
+        assert oracle.check_propagator().passed
+        assert len(calls) == 10  # five rings, two radii each
 
     def test_rejects_unnormalized_and_oversize(self):
         G = build_matrix(ChainSpec(4, 1), dipolar_ratios(4))
