@@ -10,11 +10,12 @@ fit         decay-curve parameters per chain length, plus their drift
             across lengths (table `trend`) for three or more lengths
 validate    the `oracle` checks of the closed form; nonzero exit on failure
 
-Values are written with 15 significant digits in both formats, so CSV and
-JSON parse back to identical numbers; JSON writes one row per line, and a
-float column stays a JSON float even where its value is integral.  A value
-that is not finite is refused in both formats.  Exit codes: 0 success, 1
-validation failure, 2 bad configuration.
+A table is a name and its columns, one 1-D array or sequence each, and it
+is formatted straight from them.  Values are written with 15 significant
+digits in both formats, so CSV and JSON parse back to identical numbers;
+JSON writes one row per line, and a float column stays a JSON float even
+where its value is integral.  A value that is not finite is refused in both
+formats.  Exit codes: 0 success, 1 validation failure, 2 bad configuration.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,9 +49,10 @@ _LARGEST_FINITE_TEXT = 1.797693134862315e308  # larger floats print as 1.7976931
 
 @dataclass
 class Table:
+    """A named table: column name -> 1-D array or sequence of its values."""
+
     name: str
-    columns: list[str]
-    rows: list[list]
+    columns: dict[str, Sequence]
 
 
 def _body(t: Table, fmt: str) -> str:
@@ -57,9 +60,10 @@ def _body(t: Table, fmt: str) -> str:
     column, `%.15g` for a float column.  Both formats refuse a non-finite
     float.  In JSON, a float whose text reads as an integer gets ".0", so it
     parses back as a float."""
-    columns = [np.asarray(c) for c in zip(*t.rows)]
+    columns = [np.asarray(c) for c in t.columns.values()]
     specs = ["%d" if c.dtype.kind in "biu" else "%.15g" for c in columns]
-    cells, integral = [None] * (len(t.rows) * len(columns)), {}
+    rows = len(columns[0])
+    cells, integral = [None] * (rows * len(columns)), {}
     for j, (name, c, spec) in enumerate(zip(t.columns, columns, specs)):
         cells[j::len(columns)] = c.tolist()
         if spec == "%d":
@@ -72,7 +76,7 @@ def _body(t: Table, fmt: str) -> str:
             if ("%.15g" % c[i]).lstrip("-").isdigit():
                 integral.setdefault(i, list(specs))[j] = "%.15g.0"
     head, sep, tail = ("", ",", "\r\n") if fmt == "csv" else ("[", ", ", "]")
-    templates = [head + sep.join(specs) + tail] * len(t.rows)
+    templates = [head + sep.join(specs) + tail] * rows
     for i, row_specs in integral.items():
         templates[i] = head + sep.join(row_specs) + tail
     return ("" if fmt == "csv" else ",\n").join(templates) % tuple(cells)
@@ -82,7 +86,8 @@ def _emit(tables: list[Table], fmt: str, out: str | None) -> None:
     bodies = [_body(t, fmt) for t in tables]
     if fmt == "json":  # the object json.dumps would give, one row per line
         texts = ["{" + ",\n".join(
-            f'{json.dumps(t.name)}: {{"columns": {json.dumps(t.columns)}, "rows": [\n{body}\n]}}'
+            f'{json.dumps(t.name)}: {{"columns": {json.dumps([*t.columns])}, '
+            f'"rows": [\n{body}\n]}}'
             for t, body in zip(tables, bodies)) + "}\n"]
     else:  # csv: primary table to `out`, companions to <stem>_<name><suffix>
         texts = [",".join(t.columns) + "\r\n" + body for t, body in zip(tables, bodies)]
@@ -135,51 +140,49 @@ def cmd_spectrum(args) -> list[Table]:
     nodes = args.n
     spec = ChainSpec(nodes, max_neighbors(nodes) if args.m is None else args.m)
     profile = _parse_profile(args.profile, nodes)
-    columns = (wave_numbers(nodes), mode_eigenvalues(spec, profile),
-               mode_multiplicities(nodes).tolist())
-    rows = [[mode, *values] for mode, values in enumerate(zip(*columns), start=1)]
-    return [Table("spectrum", ["mode", "wave_number", "eigenvalue", "multiplicity"], rows)]
+    mult = mode_multiplicities(nodes)
+    return [Table("spectrum", {"mode": np.arange(1, mult.size + 1),
+                               "wave_number": wave_numbers(nodes),
+                               "eigenvalue": mode_eigenvalues(spec, profile),
+                               "multiplicity": mult})]
 
 
-def _map_rows(nodes: int, surface) -> list[list]:
-    """(M, target, value) rows of an (M, target) map, in lexicographic order."""
+def _map_columns(nodes: int, surface: np.ndarray, name: str) -> dict:
+    """neighbors, target and `name` columns of an (M, target) map, rows in order."""
     targets = independent_targets(nodes)
-    return [[m, t, v] for m, row in enumerate(surface, start=1) for t, v in zip(targets, row)]
+    return {"neighbors": np.repeat(np.arange(1, len(surface) + 1), len(targets)),
+            "target": np.tile(targets, len(surface)), name: surface.ravel()}
 
 
 def cmd_probmap(args) -> list[Table]:
     probs = probability_map(args.n, _parse_profile(args.profile, args.n), _window(args, args.n))
-    return [Table("probability", ["neighbors", "target", "avg_probability"],
-                  _map_rows(args.n, probs))]
+    return [Table("probability", _map_columns(args.n, probs, "avg_probability"))]
 
 
 def cmd_jmap(args) -> list[Table]:
     errors, means = error_map(args.n, _parse_profile(args.profile, args.n), _window(args, args.n))
-    return [
-        Table("error", ["neighbors", "target", "error"], _map_rows(args.n, errors)),
-        Table("error_avg", ["neighbors", "mean_error"], [[m, v] for m, v in enumerate(means, 1)]),
-    ]
+    return [Table("error", _map_columns(args.n, errors, "error")),
+            Table("error_avg", {"neighbors": np.arange(1, len(means) + 1), "mean_error": means})]
 
 
 def cmd_threshold(args) -> list[Table]:
-    rows, audit = [], []
-    for nodes in _parse_n_list(args):
+    lengths, results = _parse_n_list(args), []
+    for nodes in lengths:
         profile = _parse_profile(args.profile, nodes)
         window = _window(args, nodes)
-        result = accuracy_threshold(nodes, profile, args.epsilon, window)
-        rows.append([nodes, result.min_neighbors])
-        audit.extend(
-            [nodes, m, err]
-            for m, err in enumerate(result.max_error_per_m, start=1)
-        )
+        results.append(accuracy_threshold(nodes, profile, args.epsilon, window))
+    worst = [r.max_error_per_m for r in results]
     return [
-        Table("threshold", ["nodes", "min_neighbors"], rows),
-        Table("audit", ["nodes", "neighbors", "max_error"], audit),
+        Table("threshold", {"nodes": lengths,
+                            "min_neighbors": [r.min_neighbors for r in results]}),
+        Table("audit", {"nodes": np.repeat(lengths, [w.size for w in worst]),
+                        "neighbors": np.concatenate([np.arange(1, w.size + 1) for w in worst]),
+                        "max_error": np.concatenate(worst)}),
     ]
 
 
 def cmd_fit(args) -> list[Table]:
-    rows, fits = [], {}
+    fits = []
     for nodes in _parse_n_list(args):
         nf = max_neighbors(nodes)
         if nf - 2 < 5:
@@ -191,18 +194,15 @@ def cmd_fit(args) -> list[Table]:
         fp = fit_decay(points)
         if not fp.converged:
             print(f"warning: fit for N={nodes} did not converge", file=sys.stderr)
-        rows.append([nodes, fp.a, fp.b, fp.c, fp.d, fp.rms,
-                     int(fp.converged), fp.iterations, fp.condition_number])
-        fits[nodes] = fp
-    columns = ["nodes", "a", "b", "c", "d", "rms", "converged", "iterations", "condition_number"]
-    tables = [Table("fit", columns, rows)]
-    if len(fits) >= 3:
-        trend = fit_trends(FitSeries(tuple(sorted(fits.items()))))
-        tables.append(Table(
-            "trend",
-            [f"slope_{p}" for p in trend.slopes] + [f"sign_ok_{p}" for p in trend.slopes],
-            [[*trend.slopes.values(), *map(int, trend.matches_expected.values())]],
-        ))
+        fits.append((nodes, fp))
+    fields = ("a", "b", "c", "d", "rms", "converged", "iterations", "condition_number")
+    tables = [Table("fit", {"nodes": [n for n, _ in fits]}
+                    | {f: [getattr(fp, f) for _, fp in fits] for f in fields})]
+    series = dict(fits)
+    if len(series) >= 3:
+        trend = fit_trends(FitSeries(tuple(sorted(series.items()))))
+        tables.append(Table("trend", {f"slope_{p}": [v] for p, v in trend.slopes.items()}
+                            | {f"sign_ok_{p}": [ok] for p, ok in trend.matches_expected.items()}))
     return tables
 
 

@@ -43,16 +43,17 @@ the same difference that has no pole (`_mixed_difference`).  The
 probability kernel sin(u3 T) / u3 comes from the same tables by angle
 addition.
 
-Cost: the N^2/2 sines and cosines of u0 T are taken once per map.  A radius
-then needs O(N) sines of delta T, and O(N^2) products, a few quotients and
-the fold, so a (M, target) map is O(N^3) with no N^2 transcendental per
-radius.  Radii and pairs are processed in tiles that keep the temporaries
-in cache (`_PairKernels`).  Mirror symmetry makes targets n and N+2-n
-equivalent, so only n = 1..max_neighbors+1 are computed; the mode
-multiplicities weight them back to the full-ring average (targets and modes
-are the same reflection orbits of Z_N).  The scalar metrics are views on the
-same kernels; composite-Simpson quadrature is only a cross-check (see
-`oracle`).
+Cost: per map, the N^2/2 sines and cosines of u0 T, the diagonal of every
+radius, and the pairs with |u0| T < POLE_SPAN, which are near a pole at
+every radius (`_PairKernels`).  A radius then needs O(N) sines of delta T,
+and per tile of (radius, pair) entries a gather, O(N^2) products, a few
+quotients, a pole mask and the fold, so a (M, target) map is O(N^3) with no
+N^2 transcendental per radius.  Tiles keep the temporaries in cache.
+Mirror symmetry makes targets n and N+2-n equivalent, so only
+n = 1..max_neighbors+1 are computed; the mode multiplicities weight them
+back to the full-ring average (targets and modes are the same reflection
+orbits of Z_N).  The scalar metrics are views on the same kernels;
+composite-Simpson quadrature is only a cross-check (see `oracle`).
 """
 
 from __future__ import annotations
@@ -227,11 +228,15 @@ class _PairKernels:
     The diagonal a = b is kept apart from the strict upper triangle a < b,
     which carries double weight because every kernel here is symmetric.  The
     pair weights g_a g_b are folded into the tables sin(u0 T), cos(u0 T) and
-    sin(u0 T) / u0, so a kernel comes out weighted.  A map is computed tile
-    by tile, a tile being a block of radii times a chunk of pairs of at most
-    TILE entries, and every tile-sized array lives in a workspace allocated
-    once per map: allocating fresh arrays of that size per operation costs
-    more than the arithmetic on them.
+    sin(u0 T) / u0, so a kernel comes out weighted.  Per map: these tables,
+    the diagonal of every radius, and the static pairs (|u0| T < POLE_SPAN,
+    near a pole at every radius), which go to the pole-free evaluation for
+    every radius at once.  Per block of radii: the tables of delta.  Per
+    tile, a block of radii times a chunk of pairs of at most TILE entries:
+    the gather, the products, the mask of dynamic poles and the fold.  Every
+    tile-sized array lives in a workspace allocated once per map: allocating
+    fresh arrays of that size per operation costs more than the arithmetic
+    on them.
     """
 
     def __init__(self, nodes: int, lam_ref: np.ndarray, t_max: float, radii: int):
@@ -243,44 +248,52 @@ class _PairKernels:
         self.weights = g[self.ia] * g[self.ib]
         self.diag_weights = 0.5 * g * g
         self.u0 = u0 = lam_ref[self.ia] - lam_ref[self.ib]
-        self.near_u0 = np.abs(u0) * t_max < POLE_SPAN
+        self.static = np.flatnonzero(np.abs(u0) * t_max < POLE_SPAN)
         self.sin, self.cos, self.sin_u0 = (self.weights * v for v in (
             np.sin(u0 * t_max), np.cos(u0 * t_max), _plain_kernel(u0, t_max)))
         chunk = min(self.ia.size, TILE)
         self.rows = max(1, min(TILE // chunk, radii))
         # room for two gathers of three tables and seven working arrays
         self._workspace = np.empty(13 * self.rows * chunk)
-        # histogram bins of the offsets k_a - k_b and k_a + k_b of each tile
-        # row (module docstring); row i of a block starts at bin i N
-        start = nodes * np.arange(self.rows)[:, None]
-        self.diag_bins = (start + 0 * k, start + 2 * k % nodes)
+        # histogram bins of the offsets k_a - k_b and k_a + k_b of a row
+        # (module docstring); in a map, row i starts at bin i N
+        self.diag_bins = (0 * k, 2 * k % nodes)
         self.bins = diff, total = (self.ia - self.ib) % nodes, (self.ia + self.ib) % nodes
+        start = nodes * np.arange(self.rows)[:, None]
         self.chunks = []
         for i in range(0, self.ia.size, chunk):
             c = slice(i, min(i + chunk, self.ia.size))
-            self.chunks.append((c, start + diff[c], start + total[c]))
+            static = self.static[(self.static >= c.start) & (self.static < c.stop)] - c.start
+            self.chunks.append((c, static, start + diff[c], start + total[c]))
 
-    def map(self, diagonal, off_diagonal, near, shifts: np.ndarray) -> np.ndarray:
+    def map(self, diagonal, second, off_diagonal, near, shifts: np.ndarray) -> np.ndarray:
         """sum_ab c_a(s) c_b(s) K_ab for every row of shifts and every
-        target s, with K given by diagonal(block), by off_diagonal(block,
-        chunk), whose weighted entries come with a mask of those near a
-        pole, and by near(shifts, rows, pairs), which evaluates the masked
-        entries, unweighted, once per map."""
-        h = np.zeros((shifts.shape[0], self.nodes))
-        flagged = [(np.zeros(0, int), np.zeros(0, int))]
-        for r in range(0, shifts.shape[0], self.rows):
+        target s, with K given by diagonal(shifts), by off_diagonal(tables,
+        chunk), which takes the `tables` of a block with second(delta T) and
+        returns weighted entries with a mask of those near a pole, and by
+        near(shifts, rows, pairs), which evaluates the masked entries and the
+        static pairs, unweighted, once per map."""
+        radii = shifts.shape[0]
+        h = np.zeros((radii, self.nodes))
+        start = self.nodes * np.arange(radii)[:, None]
+        _accumulate(h, diagonal(shifts) * self.diag_weights, *(start + b for b in self.diag_bins))
+        flagged = [(np.repeat(np.arange(radii), self.static.size), np.tile(self.static, radii))]
+        for r in range(0, radii, self.rows):
             block, hist = shifts[r : r + self.rows], h[r : r + self.rows]
             n = block.shape[0]
-            diff, total = self.diag_bins
-            _accumulate(hist, diagonal(block) * self.diag_weights, diff[:n], total[:n])
-            for chunk, diff, total in self.chunks:
-                values, poles = off_diagonal(block, chunk)
+            tables = self.tables(block, second)
+            for chunk, static, diff, total in self.chunks:
+                values, poles = off_diagonal(tables, chunk)
+                values[:, static] = 0.0
+                poles[:, static] = False
                 if poles.any():
                     rows, pairs = np.nonzero(poles)
                     values[rows, pairs] = 0.0
                     flagged.append((rows + r, pairs + chunk.start))
                 _accumulate(hist, values, diff[:n], total[:n])
         rows, pairs = (np.concatenate(i) for i in zip(*flagged))
+        order = np.lexsort((pairs, rows))  # the fold's order does not depend on `static`
+        rows, pairs = rows[order], pairs[order]
         # a near-pole entry costs up to 36 evaluations: keep each batch a tile
         step = max(1, TILE // _GL_X.size**2)
         for i in range(0, rows.size, step):
@@ -293,17 +306,20 @@ class _PairKernels:
         """sum_ab c_a(s) c_b(s) K_ab for every target s, K the plain kernel
         of lam_ref: T on the diagonal and sin(u0 T) / u0 off it."""
         h = np.zeros(self.nodes)
-        diff, total = self.diag_bins
-        _accumulate(h, self.t_max * self.diag_weights, diff[0], total[0])
+        _accumulate(h, self.t_max * self.diag_weights, *self.diag_bins)
         _accumulate(h, self.sin_u0, *self.bins)
         return np.fft.rfft(h).real
 
-    def _gathered(self, block: np.ndarray, second, chunk: slice):
+    def tables(self, block: np.ndarray, second) -> np.ndarray:
+        """delta, sin(delta T) and second(delta T) of every mode, stacked, for a block."""
+        x = block * self.t_max
+        return np.concatenate((block, np.sin(x), second(x)))
+
+    def _gathered(self, tables: np.ndarray, chunk: slice):
         """Per pair of the chunk and row of the block: delta, sin(delta T)
         and second(delta T) of mode a and of mode b, then the seven free
         workspace arrays of the tile."""
-        t, n, m = self.t_max, block.shape[0], chunk.stop - chunk.start
-        tables = np.concatenate((block, np.sin(block * t), second(block * t)))
+        n, m = tables.shape[0] // 3, chunk.stop - chunk.start
         size = n * m
         at_a, at_b = (self._workspace[i * size : (i + 3) * size].reshape(3 * n, m) for i in (0, 3))
         work = [self._workspace[i * size : (i + 1) * size].reshape(n, m) for i in range(6, 13)]
@@ -316,11 +332,11 @@ class _PairKernels:
     def probability_diagonal(self, block: np.ndarray) -> np.ndarray:
         return np.full(block.shape, self.t_max)
 
-    def probability(self, block: np.ndarray, chunk: slice):
+    def probability(self, tables: np.ndarray, chunk: slice):
         """K_ab = sin((lam_a - lam_b) T) / (lam_a - lam_b) for
         lam = lam_ref + shifts, by angle addition on the tables:
         sin(u3 T) = cos_b (S cos_a + C sin_a) + sin_b (S sin_a - C cos_a)."""
-        da, db, sa, sb, ca, cb, u3, x, y, *_ = self._gathered(block, np.cos, chunk)
+        da, db, sa, sb, ca, cb, u3, x, y, *_ = self._gathered(tables, chunk)
         s, c = self.sin[chunk], self.cos[chunk]
         np.add(self.u0[chunk], da, out=u3)
         u3 -= db
@@ -345,14 +361,13 @@ class _PairKernels:
         """K_aa = 2 (F(0) - F(delta_a)) = 2 T (1 - sinc(delta_a T))."""
         return 2.0 * self.t_max * _one_minus_sinc(block * self.t_max)
 
-    def error(self, block: np.ndarray, chunk: slice):
+    def error(self, tables: np.ndarray, chunk: slice):
         """The error-numerator kernel K(lam, lam) + K(ref, ref) - K(lam, ref)
         - K(ref, lam), by the product rule of the module docstring:
         u3 K = A1b X - A2b Q + delta_a (P - delta_b S/u0) / u2
                + delta_b (Q - delta_a S/u0) / u1,
         X = S A1a + C A2a, Q = C A1a - S A2a, P = C A1b + S A2b."""
-        da, db, a1a, a1b, a2a, a2b, u1, u2, u3, x, p, q, tmp = self._gathered(
-            block, _one_minus_cos, chunk)
+        da, db, a1a, a1b, a2a, a2b, u1, u2, u3, x, p, q, tmp = self._gathered(tables, chunk)
         u0, s, c, q0 = self.u0[chunk], self.sin[chunk], self.cos[chunk], self.sin_u0[chunk]
         np.add(u0, da, out=u1)
         np.subtract(u0, db, out=u2)
@@ -376,9 +391,7 @@ class _PairKernels:
         x /= u3
         np.minimum(np.abs(u1, out=u1), np.abs(u2, out=u2), out=u1)
         np.minimum(u1, np.abs(u3, out=u3), out=u1)
-        near = u1 < POLE_SPAN / self.t_max
-        near |= self.near_u0[chunk]
-        return x, near
+        return x, u1 < POLE_SPAN / self.t_max
 
     def error_near(self, shifts: np.ndarray, rows, pairs) -> np.ndarray:
         return _mixed_difference(self.u0[pairs], shifts[rows, self.ia[pairs]],
@@ -412,7 +425,7 @@ def _mode_probabilities(
     for the spectra lam_ref + each row of shifts."""
     with np.errstate(all="ignore"):
         pairs = _PairKernels(nodes, lam_ref, t_max, shifts.shape[0])
-        forms = pairs.map(pairs.probability_diagonal, pairs.probability,
+        forms = pairs.map(pairs.probability_diagonal, np.cos, pairs.probability,
                           pairs.probability_near, shifts)
     return _finite(np.maximum(forms, 0.0) / t_max)
 
@@ -427,7 +440,8 @@ def _mode_errors(
         den = _finite(pairs.reference())
         if np.any(den <= 0.0):
             raise ValueError("degenerate window: reference amplitude has no power")
-        num = _finite(pairs.map(pairs.error_diagonal, pairs.error, pairs.error_near, shifts))
+        num = _finite(pairs.map(pairs.error_diagonal, _one_minus_cos, pairs.error,
+                                pairs.error_near, shifts))
     if np.any(num < 0.0):
         raise ValueError("negative truncation-error power: the window integrals "
                          "lost their precision")

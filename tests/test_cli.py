@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringspin.chain import dipolar_ratios, max_neighbors
-from ringspin.cli import Table, _emit, main
+from ringspin.cli import Table, _body, _emit, main
 from ringspin.fitting import FitSeries, fit_decay, fit_trends
 from ringspin.metrics import MIN_T_MAX, TimeWindow, error_map
 from ringspin.spectral import mode_multiplicities
@@ -15,6 +16,28 @@ from ringspin.spectral import mode_multiplicities
 HALF_SQRT2 = 2.0**-1.5
 INT_COLUMNS = {"neighbors", "target", "nodes", "min_neighbors", "mode", "multiplicity",
                "converged", "iterations"}
+
+
+INTS = st.integers(-(2**62), 2**62)
+# finite floats whose 15-digit text reads back as finite, with the cases the
+# JSON ".0" rule and the finiteness bound turn on drawn often
+LARGEST_TEXT = 1.797693134862315e308
+TEXT_FLOATS = st.one_of(
+    st.floats(-LARGEST_TEXT, LARGEST_TEXT),
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, 1e15, LARGEST_TEXT, -LARGEST_TEXT,
+                     2.9999999999999996, 123456789012345.0, 999999999999999.9]),
+    st.integers(-(10**17), 10**17).map(float),
+    st.integers(-(10**15), 10**15).map(lambda k: math.nextafter(float(k), math.inf)),
+)
+
+
+def reference_cell(value, kind, fmt: str) -> str:
+    """One value as a table should show it: `%d` or `%.15g`, and in JSON a
+    float whose text reads as an integer with ".0"."""
+    if kind is int:
+        return "%d" % value
+    text = "%.15g" % value
+    return text + ".0" if fmt == "json" and text.lstrip("-").isdigit() else text
 
 
 def read_csv(path):
@@ -205,9 +228,9 @@ class TestOutputFormats:
     def test_json_floats_stay_floats(self, tmp_path):
         values = [0.0, -0.0, 3.0, -2.9999999999999996, 0.1, 1e-300,
                   123456789012345.0, 999999999999999.9, 1e16, 1.797693134862315e308]
-        rows = [[k, v, v] for k, v in enumerate(values)]
-        _emit([Table("t", ["k", "x", "y"], rows)], "json", str(tmp_path / "t.json"))
-        _emit([Table("t", ["k", "x", "y"], rows)], "csv", str(tmp_path / "t.csv"))
+        columns = {"k": range(len(values)), "x": values, "y": values}
+        _emit([Table("t", columns)], "json", str(tmp_path / "t.json"))
+        _emit([Table("t", columns)], "csv", str(tmp_path / "t.csv"))
         parsed = json.loads((tmp_path / "t.json").read_text())["t"]["rows"]
         _, csv_rows = read_csv(tmp_path / "t.csv")
         for v, json_row, csv_row in zip(values, parsed, csv_rows, strict=True):
@@ -217,6 +240,35 @@ class TestOutputFormats:
                 assert type(got) is float
                 assert got == float(text)
                 assert math.copysign(1.0, got) == math.copysign(1.0, v)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_body_matches_per_value_rendering(self, data):
+        """Columns of random ints and floats, as lists or arrays, format as
+        each value would on its own, and CSV and JSON parse back to the same
+        numbers."""
+        rows = data.draw(st.integers(0, 12))
+        kinds = data.draw(st.lists(st.sampled_from([int, float]), min_size=1, max_size=4))
+        columns = {}
+        for j, kind in enumerate(kinds):
+            values = data.draw(st.lists(INTS if kind is int else TEXT_FLOATS,
+                                        min_size=rows, max_size=rows))
+            columns[f"c{j}"] = np.array(values, dtype=kind) if data.draw(st.booleans()) else values
+        table = Table("t", columns)
+        cells = {fmt: [[reference_cell(v, kind, fmt) for kind, v in zip(kinds, row)]
+                       for row in zip(*columns.values())] for fmt in ("csv", "json")}
+        csv_text, json_text = _body(table, "csv"), _body(table, "json")
+        assert csv_text == "".join(",".join(row) + "\r\n" for row in cells["csv"])
+        assert json_text == ",\n".join("[" + ", ".join(row) + "]" for row in cells["json"])
+        expected = [[kind(text) for kind, text in zip(kinds, row)] for row in cells["csv"]]
+        parsed_json = json.loads("[" + json_text + "]")
+        assert [[kind(v) for kind, v in zip(kinds, row)]
+                for row in csv.reader(io.StringIO(csv_text, newline=""))] == expected
+        assert parsed_json == expected
+        for row, json_row in zip(cells["csv"], parsed_json):
+            assert [type(v) for v in json_row] == kinds
+            assert [math.copysign(1.0, v) for v in json_row] == [
+                -1.0 if text.startswith("-") else 1.0 for text in row]
 
     def test_deterministic_output(self, tmp_path):
         for fmt in ("csv", "json"):
@@ -346,11 +398,11 @@ class TestBadConfig:
         # 1.7976931348623157e308 prints as 1.79769313486232e+308, which reads as inf
         for bad in (math.nan, math.inf, -math.inf, 1.7976931348623157e308):
             for fmt in ("csv", "json"):
-                table = Table("t", ["k", "x"], [[1, 0.5], [2, bad], [3, 0.25]])
+                table = Table("t", {"k": [1, 2, 3], "x": [0.5, bad, 0.25]})
                 with pytest.raises(ValueError, match="not finite"):
                     _emit([table], fmt, None)
                 with pytest.raises(ValueError, match="not finite"):
-                    _emit([Table("ok", ["x"], [[1.0]]), table], fmt, str(tmp_path / "t"))
+                    _emit([Table("ok", {"x": [1.0]}), table], fmt, str(tmp_path / "t"))
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 

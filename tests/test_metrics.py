@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+from ringspin import metrics
 from ringspin.chain import ChainSpec, CouplingProfile, dipolar_ratios, max_neighbors
 from ringspin.metrics import (
     MIN_T_MAX,
@@ -19,7 +20,7 @@ from ringspin.metrics import (
     trig_power_integral,
     truncation_error,
 )
-from ringspin.metrics import _mixed_difference, _mode_errors, _PairKernels
+from ringspin.metrics import _mixed_difference, _mode_errors, _one_minus_cos, _PairKernels
 from ringspin.oracle import simpson_integral
 from ringspin.spectral import (amplitude, eigenvalue_shifts, eigenvalue_table,
                                mode_multiplicities, pair_mode_weights)
@@ -389,12 +390,13 @@ def four_term_sum(u0, alpha, beta, t_max):
 
 def pair_kernel(u0, alpha, beta, t_max):
     """The error kernel of one pair as the maps compute it: the product form
-    of a two-mode spectrum, or its fallback where the pair is near a pole."""
+    of a two-mode spectrum, or its fallback where the pair is near a pole:
+    flagged by the tile mask or, with |u0| T small, static at every radius."""
     pairs = _PairKernels(3, np.array([u0, 0.0]), t_max, 1)
     shifts = np.array([[alpha, -beta]])
     with np.errstate(all="ignore"):
-        values, near = pairs.error(shifts, pairs.chunks[0][0])
-    if near[0, 0]:
+        values, near = pairs.error(pairs.tables(shifts, _one_minus_cos), pairs.chunks[0][0])
+    if near[0, 0] or pairs.static.size:
         return pairs.error_near(shifts, np.array([0]), np.array([0]))[0], True
     return values[0, 0] / pairs.weights[0], False
 
@@ -472,3 +474,35 @@ class TestCancellationFree:
                             lambda self, block: np.full(block.shape, -1.0))
         with pytest.raises(ValueError, match="negative"):
             error_map(8, dipolar_ratios(8), TimeWindow(8.0))
+
+
+# couplings on a coarse grid whose reference spectrum has exactly degenerate
+# pairs: static at every radius, so the per-chunk static indices are used
+DEGENERATE_PROFILE = CouplingProfile((1.0, 1.0, 0.5, 0.0, 0.5, 1.0, 0.0, 0.0))
+
+
+class TestTilePartition:
+    @pytest.mark.parametrize("nodes, profile", [
+        *((n, dipolar_ratios(n)) for n in (7, 20, 40, 70, 71)),
+        (40, steep_profile(40)),
+        (16, DEGENERATE_PROFILE),
+    ], ids=["dipolar7", "dipolar20", "dipolar40", "dipolar70", "dipolar71", "steep40",
+            "degenerate16"])
+    def test_maps_do_not_depend_on_the_tiling(self, monkeypatch, nodes, profile):
+        """TILE sets the chunks of pairs per row, the rows per block and the
+        chunk holding each static pair; from a single entry per tile to the
+        whole triangle in one chunk, the maps stay the same."""
+        window = TimeWindow.matched(nodes)
+        errors, _ = error_map(nodes, profile, window)
+        probs = probability_map(nodes, profile, window)
+        for tile in (1, 7, 64, 1000):
+            monkeypatch.setattr(metrics, "TILE", tile)
+            np.testing.assert_allclose(error_map(nodes, profile, window)[0], errors,
+                                       rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(probability_map(nodes, profile, window), probs,
+                                       rtol=0.0, atol=1e-16)
+
+    def test_degenerate_profile_has_static_pairs(self):
+        lam_ref, _ = eigenvalue_shifts(ChainSpec.all_neighbors(16), DEGENERATE_PROFILE)
+        pairs = _PairKernels(16, lam_ref, 16.0, 1)
+        assert np.any(pairs.u0[pairs.static] == 0.0)
