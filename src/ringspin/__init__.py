@@ -33,7 +33,6 @@ from .metrics import (
     mean_truncation_error,
     probability_map,
     transfer_metrics,
-    trig_power_integral,
     truncation_error,
 )
 from .oracle import DenseEigenResult, dense_eigen, expm_propagate, simpson_integral
@@ -71,6 +70,5 @@ __all__ = [
     "probability_map",
     "simpson_integral",
     "transfer_metrics",
-    "trig_power_integral",
     "truncation_error",
 ]

@@ -15,8 +15,8 @@ The fold cos A cos B = [cos(A-B) + cos(A+B)] / 2 turns it into a function of
 the mode-index offsets (k_a - k_b) mod N and (k_a + k_b) mod N: summing
 g_a g_b K_ab / 2 over both offsets into a length-N histogram h, the form for
 every target s = 0..N/2 is Re sum_r h_r e^{-2 pi i r s / N}, one real FFT.
-K is symmetric, so only the packed triangle a <= b is evaluated, the pairs
-a < b with double weight.
+K is symmetric, so only the diagonal and one of each pair a != b are
+evaluated, the pairs with double weight.
 
 The truncation error of transfer 1 -> n at radius M is the relative L2
 deviation sqrt(int |p - p_ref|^2 / int |p_ref|^2) from the all-node
@@ -46,9 +46,14 @@ addition.
 Cost: per map, the N^2/2 sines and cosines of u0 T, the diagonal of every
 radius, and the pairs with |u0| T < POLE_SPAN, which are near a pole at
 every radius (`_PairKernels`).  A radius then needs O(N) sines of delta T,
-and per tile of (radius, pair) entries a gather, O(N^2) products, a few
-quotients, a pole mask and the fold, so a (M, target) map is O(N^3) with no
-N^2 transcendental per radius.  Tiles keep the temporaries in cache.
+and per tile of (radius, pair) entries O(N^2) products, a few quotients, a
+pole mask and the fold, so a (M, target) map is O(N^3) with no N^2
+transcendental per radius.  The pairs are listed by cyclic offset d, {c,
+(c + d) mod m} for the m modes, so the per-mode tables reach a tile by two
+contiguous copies, one of a broadcast and one of a strided (Hankel) view of
+the tables written twice over, never by a gather; (a - b) mod N is constant
+on two runs per offset, so that fold adds run sums.  Tiles keep the
+temporaries in cache.
 Mirror symmetry makes targets n and N+2-n equivalent, so only
 n = 1..max_neighbors+1 are computed; the mode multiplicities weight them
 back to the full-ring average (targets and modes are the same reflection
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +85,6 @@ __all__ = [
     "mean_truncation_error",
     "probability_map",
     "transfer_metrics",
-    "trig_power_integral",
     "truncation_error",
 ]
 
@@ -117,20 +122,6 @@ def _plain_kernel(delta: np.ndarray, t_max: float) -> np.ndarray:
     T where |delta| <= DEGENERACY_TOL."""
     near = np.abs(delta) <= DEGENERACY_TOL
     return np.where(near, t_max, np.sin(delta * t_max) / np.where(near, 1.0, delta))
-
-
-def trig_power_integral(coeffs, freqs, t_max: float) -> float:
-    """integral_0^T |sum_a c_a e^{-i nu_a tau}|^2 dtau, exactly.
-
-    Coefficients must be real (spectral weights of a symmetric propagator
-    always are).  Clipped at zero against rounding.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    nu = np.asarray(freqs, dtype=float)
-    if c.shape != nu.shape or c.ndim != 1:
-        raise ValueError("coeffs and freqs must be 1-D arrays of equal length")
-    value = float(c @ _plain_kernel(nu[:, None] - nu[None, :], t_max) @ c)
-    return max(value, 0.0)
 
 
 # Taylor coefficients in x^2 of (1 - sinc x) / x^2, sinc' x / x and sinc'' x,
@@ -220,30 +211,51 @@ def _mixed_difference(u0: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
     return ((wa[:, :, None] * wb[:, None, :]) * values).sum(axis=(1, 2))
 
 
-class _PairKernels:
-    """Window kernels of one map on the packed triangle of mode pairs, from
-    trig tables of the reference spectrum lam_ref, and their fold onto the
-    independent targets.
+class _Chunk(NamedTuple):
+    """A chunk of whole offset rows of the pair list (class `_PairKernels`)."""
 
-    The diagonal a = b is kept apart from the strict upper triangle a < b,
-    which carries double weight because every kernel here is symmetric.  The
-    pair weights g_a g_b are folded into the tables sin(u0 T), cos(u0 T) and
-    sin(u0 T) / u0, so a kernel comes out weighted.  Per map: these tables,
-    the diagonal of every radius, and the static pairs (|u0| T < POLE_SPAN,
-    near a pole at every radius), which go to the pole-free evaluation for
-    every radius at once.  Per block of radii: the tables of delta.  Per
-    tile, a block of radii times a chunk of pairs of at most TILE entries:
-    the gather, the products, the mask of dynamic poles and the fold.  Every
-    tile-sized array lives in a workspace allocated once per map: allocating
-    fresh arrays of that size per operation costs more than the arithmetic
-    on them.
+    pairs: slice  # its range of pairs
+    offsets: slice  # the offsets d of its rows of m pairs
+    half: bool  # whether it ends with the half row d = m/2 of an even m
+
+
+class _PairKernels:
+    """Window kernels of one map on the mode pairs, from trig tables of the
+    reference spectrum lam_ref, and their fold onto the independent targets.
+
+    The pairs a != b of the m modes are listed by cyclic offset: row
+    d = 1..floor(m/2) holds {c, (c + d) mod m} for every c, only c < m/2 in
+    the last row of an even m, so each unordered pair comes once and carries
+    double weight, because every kernel here is symmetric.  The diagonal
+    a = b is kept apart.  The pair weights g_a g_b are folded into the
+    tables sin(u0 T), cos(u0 T) and sin(u0 T) / u0, so a kernel comes out
+    weighted.  Per map: these tables, the diagonal of every radius, and the
+    static pairs (|u0| T < POLE_SPAN, near a pole at every radius), which go
+    to the pole-free evaluation for every radius at once.  Per block of
+    radii: the tables of delta, written twice over along the modes and read
+    through a Hankel view, so that mode (c + d) mod m of row d is column
+    c + d.  Per tile, a block of radii times a chunk of whole offset rows,
+    at most max(TILE, m) entries: two copies, the products, the mask of
+    dynamic poles and the fold.  Mode a of a row is the table itself and
+    mode b the table moved by d, so each side of a tile is one copy of a
+    broadcast or of the Hankel view, with no gather, and all arithmetic runs
+    on the contiguous copies.  Along row d, (a - b) mod N is N - d while
+    c + d < m and m - d after it, so the diff fold adds two run sums per
+    row: a weighted `bincount` of every entry would add to one bin m times
+    in a serial chain.  Every tile-sized array lives in a workspace
+    allocated once per map: allocating fresh arrays of that size per
+    operation costs more than the arithmetic on them.
     """
 
     def __init__(self, nodes: int, lam_ref: np.ndarray, t_max: float, radii: int):
         """Tables for maps of at most `radii` rows of shifts."""
         self.nodes, self.modes, self.t_max = nodes, mode_count(nodes), t_max
-        k = np.arange(self.modes)
-        self.ia, self.ib = np.nonzero(k[:, None] < k)  # the strict upper triangle
+        m, size = self.modes, self.modes * (self.modes - 1) // 2
+        offsets, full = m // 2, (m - 1) // 2  # rows, and rows of m pairs
+        # pair i is {c, (c + d) mod m} with c = i % m in offset row d = i // m + 1
+        row, self.ia = np.divmod(np.arange(size), m)
+        self.ib = (self.ia + row + 1) % m
+        k = np.arange(m)
         g = mode_multiplicities(nodes) / nodes
         self.weights = g[self.ia] * g[self.ib]
         self.diag_weights = 0.5 * g * g
@@ -251,20 +263,32 @@ class _PairKernels:
         self.static = np.flatnonzero(np.abs(u0) * t_max < POLE_SPAN)
         self.sin, self.cos, self.sin_u0 = (self.weights * v for v in (
             np.sin(u0 * t_max), np.cos(u0 * t_max), _plain_kernel(u0, t_max)))
-        chunk = min(self.ia.size, TILE)
+        per = max(1, TILE // m)  # offset rows per chunk
+        chunk = min(size, per * m)
         self.rows = max(1, min(TILE // chunk, radii))
-        # room for two gathers of three tables and seven working arrays
+        # room for the copies of three tables per side and seven working arrays
         self._workspace = np.empty(13 * self.rows * chunk)
+        # a block's tables twice over along the modes; hankel[..., d, c] is
+        # mode (c + d) mod m
+        self._doubled = np.empty((3, self.rows, 2 * m))
+        step = self._doubled.strides
+        self._hankel = np.ndarray((3, self.rows, offsets + 1, m), buffer=self._doubled,
+                                  strides=(*step, step[2]))
         # histogram bins of the offsets k_a - k_b and k_a + k_b of a row
         # (module docstring); in a map, row i starts at bin i N
         self.diag_bins = (0 * k, 2 * k % nodes)
         self.bins = diff, total = (self.ia - self.ib) % nodes, (self.ia + self.ib) % nodes
+        # along row d, diff is N - d from c = 0 (a = 0) and m - d from
+        # c = m - d (b = 0): two runs per row, one in a half row
+        runs = np.flatnonzero(self.ia * self.ib == 0)
         start = nodes * np.arange(self.rows)[:, None]
         self.chunks = []
-        for i in range(0, self.ia.size, chunk):
-            c = slice(i, min(i + chunk, self.ia.size))
-            static = self.static[(self.static >= c.start) & (self.static < c.stop)] - c.start
-            self.chunks.append((c, static, start + diff[c], start + total[c]))
+        for lo in range(0, offsets, per):
+            hi = min(lo + per, offsets)
+            c = slice(lo * m, min(hi * m, size))
+            static, r = (v[slice(*v.searchsorted((c.start, c.stop)))] for v in (self.static, runs))
+            self.chunks.append((_Chunk(c, slice(lo + 1, min(hi, full) + 1), hi > full),
+                                static - c.start, r - c.start, start + diff[r], start + total[c]))
 
     def map(self, diagonal, second, off_diagonal, near, shifts: np.ndarray) -> np.ndarray:
         """sum_ab c_a(s) c_b(s) K_ab for every row of shifts and every
@@ -282,15 +306,16 @@ class _PairKernels:
             block, hist = shifts[r : r + self.rows], h[r : r + self.rows]
             n = block.shape[0]
             tables = self.tables(block, second)
-            for chunk, static, diff, total in self.chunks:
+            for chunk, static, runs, diff, total in self.chunks:
                 values, poles = off_diagonal(tables, chunk)
                 values[:, static] = 0.0
                 poles[:, static] = False
                 if poles.any():
                     rows, pairs = np.nonzero(poles)
                     values[rows, pairs] = 0.0
-                    flagged.append((rows + r, pairs + chunk.start))
-                _accumulate(hist, values, diff[:n], total[:n])
+                    flagged.append((rows + r, pairs + chunk.pairs.start))
+                _accumulate(hist, np.add.reduceat(values, runs, axis=1), diff[:n])
+                _accumulate(hist, values, total[:n])
         rows, pairs = (np.concatenate(i) for i in zip(*flagged))
         order = np.lexsort((pairs, rows))  # the fold's order does not depend on `static`
         rows, pairs = rows[order], pairs[order]
@@ -311,34 +336,44 @@ class _PairKernels:
         return np.fft.rfft(h).real
 
     def tables(self, block: np.ndarray, second) -> np.ndarray:
-        """delta, sin(delta T) and second(delta T) of every mode, stacked, for a block."""
+        """delta, sin(delta T) and second(delta T) of every mode for a block,
+        as a Hankel view: [i, row, d, c] is table i of mode (c + d) mod m."""
+        n, m = block.shape[0], self.modes
         x = block * self.t_max
-        return np.concatenate((block, np.sin(x), second(x)))
+        head = self._doubled[:, :n, :m]
+        head[0] = block
+        np.sin(x, out=head[1])
+        head[2] = second(x)
+        self._doubled[:, :n, m:] = head
+        return self._hankel[:, :n]
 
-    def _gathered(self, tables: np.ndarray, chunk: slice):
+    def _tile(self, tables: np.ndarray, chunk: _Chunk):
         """Per pair of the chunk and row of the block: delta, sin(delta T)
-        and second(delta T) of mode a and of mode b, then the seven free
-        workspace arrays of the tile."""
-        n, m = tables.shape[0] // 3, chunk.stop - chunk.start
-        size = n * m
-        at_a, at_b = (self._workspace[i * size : (i + 3) * size].reshape(3 * n, m) for i in (0, 3))
-        work = [self._workspace[i * size : (i + 1) * size].reshape(n, m) for i in range(6, 13)]
-        # the indices are in range; mode "clip" lets take write straight into out
-        np.take(tables, self.ia[chunk], axis=1, out=at_a, mode="clip")
-        np.take(tables, self.ib[chunk], axis=1, out=at_b, mode="clip")
-        return (at_a[:n], at_b[:n], at_a[n : 2 * n], at_b[n : 2 * n], at_a[2 * n :],
-                at_b[2 * n :], *work)
+        and second(delta T) of mode a and of mode b, copied from the block's
+        `tables`, then the seven free workspace arrays of the tile."""
+        n, m = tables.shape[1], self.modes
+        size = n * (chunk.pairs.stop - chunk.pairs.start)
+        at_a, at_b = (self._workspace[i * size : (i + 3) * size].reshape(3, n, -1) for i in (0, 3))
+        work = [self._workspace[i * size : (i + 1) * size].reshape(n, -1) for i in range(6, 13)]
+        rows = chunk.offsets.stop - chunk.offsets.start
+        full = rows * m
+        np.copyto(at_a[:, :, :full].reshape(3, n, rows, m), tables[:, :, :1])
+        np.copyto(at_b[:, :, :full].reshape(3, n, rows, m), tables[:, :, chunk.offsets])
+        if chunk.half:  # c < m/2 with c + m/2
+            np.copyto(at_a[:, :, full:], tables[:, :, 0, : m // 2])
+            np.copyto(at_b[:, :, full:], tables[:, :, m // 2, : m // 2])
+        return (at_a[0], at_b[0], at_a[1], at_b[1], at_a[2], at_b[2], *work)
 
     def probability_diagonal(self, block: np.ndarray) -> np.ndarray:
         return np.full(block.shape, self.t_max)
 
-    def probability(self, tables: np.ndarray, chunk: slice):
+    def probability(self, tables: np.ndarray, chunk: _Chunk):
         """K_ab = sin((lam_a - lam_b) T) / (lam_a - lam_b) for
         lam = lam_ref + shifts, by angle addition on the tables:
         sin(u3 T) = cos_b (S cos_a + C sin_a) + sin_b (S sin_a - C cos_a)."""
-        da, db, sa, sb, ca, cb, u3, x, y, *_ = self._gathered(tables, chunk)
-        s, c = self.sin[chunk], self.cos[chunk]
-        np.add(self.u0[chunk], da, out=u3)
+        da, db, sa, sb, ca, cb, u3, x, y, *_ = self._tile(tables, chunk)
+        s, c = self.sin[chunk.pairs], self.cos[chunk.pairs]
+        np.add(self.u0[chunk.pairs], da, out=u3)
         u3 -= db
         np.multiply(s, ca, out=x)
         np.multiply(c, sa, out=y)
@@ -361,14 +396,14 @@ class _PairKernels:
         """K_aa = 2 (F(0) - F(delta_a)) = 2 T (1 - sinc(delta_a T))."""
         return 2.0 * self.t_max * _one_minus_sinc(block * self.t_max)
 
-    def error(self, tables: np.ndarray, chunk: slice):
+    def error(self, tables: np.ndarray, chunk: _Chunk):
         """The error-numerator kernel K(lam, lam) + K(ref, ref) - K(lam, ref)
         - K(ref, lam), by the product rule of the module docstring:
         u3 K = A1b X - A2b Q + delta_a (P - delta_b S/u0) / u2
                + delta_b (Q - delta_a S/u0) / u1,
         X = S A1a + C A2a, Q = C A1a - S A2a, P = C A1b + S A2b."""
-        da, db, a1a, a1b, a2a, a2b, u1, u2, u3, x, p, q, tmp = self._gathered(tables, chunk)
-        u0, s, c, q0 = self.u0[chunk], self.sin[chunk], self.cos[chunk], self.sin_u0[chunk]
+        da, db, a1a, a1b, a2a, a2b, u1, u2, u3, x, p, q, tmp = self._tile(tables, chunk)
+        u0, s, c, q0 = (v[chunk.pairs] for v in (self.u0, self.sin, self.cos, self.sin_u0))
         np.add(u0, da, out=u1)
         np.subtract(u0, db, out=u2)
         np.subtract(u1, db, out=u3)
@@ -403,12 +438,12 @@ def _one_minus_cos(x: np.ndarray) -> np.ndarray:
     return 2.0 * np.sin(0.5 * x) ** 2
 
 
-def _accumulate(hist: np.ndarray, values: np.ndarray, diff, total) -> None:
-    """Add each value to the flat bins diff and total of `hist`."""
+def _accumulate(hist: np.ndarray, values: np.ndarray, *bins) -> None:
+    """Add each value to its flat bin in each of `bins` of `hist`."""
     w = values.ravel()
     flat = hist.reshape(-1)
-    flat += np.bincount(diff.ravel(), w, flat.size)
-    flat += np.bincount(total.ravel(), w, flat.size)
+    for b in bins:
+        flat += np.bincount(b.ravel(), w, flat.size)
 
 
 def _finite(values: np.ndarray) -> np.ndarray:

@@ -17,12 +17,12 @@ from ringspin.metrics import (
     mean_truncation_error,
     probability_map,
     transfer_metrics,
-    trig_power_integral,
     truncation_error,
 )
-from ringspin.metrics import _mixed_difference, _mode_errors, _one_minus_cos, _PairKernels
+from ringspin.metrics import (_mixed_difference, _mode_errors, _one_minus_cos, _PairKernels,
+                              _plain_kernel)
 from ringspin.oracle import simpson_integral
-from ringspin.spectral import (amplitude, eigenvalue_shifts, eigenvalue_table,
+from ringspin.spectral import (amplitude, eigenvalue_shifts, eigenvalue_table, mode_count,
                                mode_multiplicities, pair_mode_weights)
 
 # (1/T) int_0^T cos^4 tau dtau at T = 4, by the antiderivative
@@ -44,27 +44,6 @@ class TestTimeWindow:
 
     def test_matched_default(self):
         assert TimeWindow.matched(70).t_max == 70.0
-
-
-class TestTrigPowerIntegral:
-    def test_single_mode_is_window_length(self):
-        assert trig_power_integral([1.0], [0.7], 5.0) == pytest.approx(5.0)
-
-    def test_two_degenerate_modes_add_coherently(self):
-        # equal frequencies merge: |c1 + c2|^2 * T
-        val = trig_power_integral([0.3, 0.7], [1.1, 1.1 + 1e-15], 2.0)
-        assert val == pytest.approx(2.0, abs=1e-12)
-
-    def test_cosine_squared(self):
-        # cos(omega tau) = (e^{-i omega tau} + e^{+i omega tau}) / 2
-        T, omega = 4.0, 2.0
-        val = trig_power_integral([0.5, 0.5], [omega, -omega], T)
-        expected = T / 2.0 + math.sin(2.0 * omega * T) / (4.0 * omega)
-        assert val == pytest.approx(expected, abs=1e-12)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            trig_power_integral([1.0, 2.0], [0.5], 1.0)
 
 
 class TestAvgProbability:
@@ -176,7 +155,13 @@ def eigenvector_forms(nodes: int, profile: CouplingProfile, t_max: float):
     """Reference maps from one explicit quadratic form per (M, target):
     eigenvector weights of the (1, n) element, eigenvalues summed directly
     from their cosine formula, and the joined spectrum (+w on lam, -w on
-    lam_ref) for the error numerator."""
+    lam_ref) for the error numerator.  A form is not clipped: a numerator
+    that rounds below zero gives a negative error, sign kept."""
+
+    def power(w, lam):
+        """int_0^T |sum_a w_a e^{-i lam_a tau}|^2 dtau."""
+        return float(w @ _plain_kernel(lam[:, None] - lam[None, :], t_max) @ w)
+
     nf = max_neighbors(nodes)
     p = 2.0 * np.pi * np.arange(nf + 1) / nodes
     d = np.asarray(profile.ratios)
@@ -187,16 +172,12 @@ def eigenvector_forms(nodes: int, profile: CouplingProfile, t_max: float):
             c[-1] = d[m - 1]  # the opposite node is a single neighbour
         lams.append(np.cos(np.outer(p, np.arange(1, m + 1))) @ c)
     weights = [pair_mode_weights(nodes, 1, n) for n in independent_targets(nodes)]
-    probs = np.array([
-        [trig_power_integral(w, lam, t_max) / t_max for w in weights] for lam in lams
-    ])
+    probs = np.array([[power(w, lam) / t_max for w in weights] for lam in lams])
     errors = np.zeros_like(probs)
     for row, lam in enumerate(lams[:-1]):
         for i, w in enumerate(weights):
-            num = trig_power_integral(
-                np.concatenate([w, -w]), np.concatenate([lam, lams[-1]]), t_max
-            )
-            errors[row, i] = math.sqrt(num / trig_power_integral(w, lams[-1], t_max))
+            num = power(np.concatenate([w, -w]), np.concatenate([lam, lams[-1]]))
+            errors[row, i] = math.copysign(math.sqrt(abs(num) / power(w, lams[-1])), num)
     return probs, errors
 
 
@@ -481,6 +462,18 @@ class TestCancellationFree:
 DEGENERATE_PROFILE = CouplingProfile((1.0, 1.0, 0.5, 0.0, 0.5, 1.0, 0.0, 0.0))
 
 
+def tilings(nodes: int) -> tuple[int, ...]:
+    """TILE values for `TestTilePartition`: from chunks of one offset row to
+    the whole pair list in one chunk, one just below a row of m pairs and,
+    for an even number of modes m, one that puts the half row d = m/2 in a
+    chunk of its own and one that shares its chunk with full rows."""
+    m = mode_count(nodes)
+    tiles = (1, 7, 64, 1000, m - 1)
+    if m % 2 == 0:
+        tiles += ((m // 2 - 1) * m, m // 2 * m)
+    return tiles
+
+
 class TestTilePartition:
     @pytest.mark.parametrize("nodes, profile", [
         *((n, dipolar_ratios(n)) for n in (7, 20, 40, 70, 71)),
@@ -489,20 +482,76 @@ class TestTilePartition:
     ], ids=["dipolar7", "dipolar20", "dipolar40", "dipolar70", "dipolar71", "steep40",
             "degenerate16"])
     def test_maps_do_not_depend_on_the_tiling(self, monkeypatch, nodes, profile):
-        """TILE sets the chunks of pairs per row, the rows per block and the
-        chunk holding each static pair; from a single entry per tile to the
-        whole triangle in one chunk, the maps stay the same."""
+        """TILE sets the offset rows per chunk, the rows per block and the
+        chunk holding each static pair; from one offset row per tile to the
+        whole pair list in one chunk, the maps stay the same."""
         window = TimeWindow.matched(nodes)
         errors, _ = error_map(nodes, profile, window)
         probs = probability_map(nodes, profile, window)
-        for tile in (1, 7, 64, 1000):
+        m = mode_count(nodes)
+        half_rows = set()
+        for tile in tilings(nodes):
             monkeypatch.setattr(metrics, "TILE", tile)
+            last = _PairKernels(nodes, np.zeros(m), 1.0, 1).chunks[-1][0]
+            half_rows.add((last.half, last.pairs.stop - last.pairs.start == m // 2))
             np.testing.assert_allclose(error_map(nodes, profile, window)[0], errors,
                                        rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(probability_map(nodes, profile, window), probs,
                                        rtol=0.0, atol=1e-16)
+        if m % 2 == 0:
+            assert half_rows == {(True, True), (True, False)}
+        else:
+            assert half_rows == {(False, False)}
 
     def test_degenerate_profile_has_static_pairs(self):
         lam_ref, _ = eigenvalue_shifts(ChainSpec.all_neighbors(16), DEGENERATE_PROFILE)
         pairs = _PairKernels(16, lam_ref, 16.0, 1)
         assert np.any(pairs.u0[pairs.static] == 0.0)
+
+
+class TestPairOrder:
+    def test_every_pair_once_with_its_offsets(self):
+        """For m = 2..64 modes and both parities of N: the offset rows list
+        each unordered pair {a, b}, a != b, exactly once; the histogram bins
+        are (a - b) mod N, up to the r <-> N - r symmetry of the real FFT,
+        and (a + b) mod N; the chunks cover the list in whole offset rows."""
+        for m in range(2, 65):
+            for nodes in (2 * m - 2, 2 * m - 1):
+                if nodes < 3:
+                    continue
+                pairs = _PairKernels(nodes, np.zeros(m), 1.0, 1)
+                a, b = pairs.ia, pairs.ib
+                assert mode_count(nodes) == m and a.size == m * (m - 1) // 2
+                assert np.all(a != b)
+                keys = np.minimum(a, b) * m + np.maximum(a, b)
+                assert np.unique(keys).size == keys.size
+                diff, total = pairs.bins
+                assert np.all((diff == (a - b) % nodes) | (diff == (b - a) % nodes))
+                assert np.all(total == (a + b) % nodes)
+                stops = [chunk.pairs.stop for chunk, *_ in pairs.chunks]
+                assert [chunk.pairs.start for chunk, *_ in pairs.chunks] == [0, *stops[:-1]]
+                assert stops[-1] == a.size
+                assert all(chunk.pairs.start % m == 0 for chunk, *_ in pairs.chunks)
+
+    @pytest.mark.parametrize("nodes, tile", [(10, 1 << 14), (11, 1 << 14), (40, 1 << 14),
+                                             (70, 1 << 14), (40, 64), (70, 100)])
+    def test_run_sums_fold_like_a_bincount(self, monkeypatch, nodes, tile):
+        """The map's fold of the off-diagonal entries (run sums for the
+        offsets a - b) equals a plain `bincount` of the same random values,
+        with several rows per block (one chunk) or several chunks per row."""
+        monkeypatch.setattr(metrics, "TILE", tile)
+        m, radii = mode_count(nodes), 9
+        pairs = _PairKernels(nodes, 10.0 * np.arange(m), 1.0, radii)  # no static pairs
+        assert pairs.static.size == 0
+        assert pairs.rows > 1 if len(pairs.chunks) == 1 else pairs.rows == 1
+        values = np.random.default_rng(nodes).standard_normal((radii, pairs.ia.size))
+        shifts = np.repeat(np.arange(radii, dtype=float)[:, None], m, axis=1)
+
+        def off_diagonal(tables, chunk):
+            rows = tables[0, :, 0, 0].astype(int)  # delta of mode 0: the radius
+            entries = values[rows, chunk.pairs].copy()
+            return entries, np.zeros(entries.shape, dtype=bool)
+
+        forms = pairs.map(np.zeros_like, np.cos, off_diagonal, None, shifts)
+        h = np.array([sum(np.bincount(bins, v, nodes) for bins in pairs.bins) for v in values])
+        np.testing.assert_allclose(forms, np.fft.rfft(h, axis=1).real, rtol=0.0, atol=1e-12)
