@@ -10,14 +10,11 @@ from .chain import (
     ChainSpec,
     CouplingProfile,
     build_matrix,
-    cyclic_distance,
     dipolar_ratios,
     max_neighbors,
 )
 from .fitting import (
     FitParams,
-    FitSeries,
-    TrendReport,
     decay_model,
     fit_decay,
     fit_trends,
@@ -25,15 +22,10 @@ from .fitting import (
 from .metrics import (
     ThresholdResult,
     TimeWindow,
-    TransferMetrics,
     accuracy_threshold,
-    avg_probability,
     error_map,
     independent_targets,
-    mean_truncation_error,
     probability_map,
-    transfer_metrics,
-    truncation_error,
 )
 from .oracle import DenseEigenResult, dense_eigen, expm_propagate, simpson_integral
 from .spectral import amplitude, eigenvalues, evolve
@@ -45,16 +37,11 @@ __all__ = [
     "CouplingProfile",
     "DenseEigenResult",
     "FitParams",
-    "FitSeries",
     "ThresholdResult",
     "TimeWindow",
-    "TransferMetrics",
-    "TrendReport",
     "accuracy_threshold",
     "amplitude",
-    "avg_probability",
     "build_matrix",
-    "cyclic_distance",
     "decay_model",
     "dense_eigen",
     "dipolar_ratios",
@@ -66,9 +53,6 @@ __all__ = [
     "fit_trends",
     "independent_targets",
     "max_neighbors",
-    "mean_truncation_error",
     "probability_map",
     "simpson_integral",
-    "transfer_metrics",
-    "truncation_error",
 ]

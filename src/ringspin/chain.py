@@ -21,7 +21,6 @@ __all__ = [
     "ChainSpec",
     "CouplingProfile",
     "build_matrix",
-    "cyclic_distance",
     "dipolar_ratios",
     "max_neighbors",
 ]
@@ -36,12 +35,6 @@ def max_neighbors(nodes: int) -> int:
     if nodes < 3:
         raise ValueError(f"a ring needs at least 3 nodes, got {nodes}")
     return nodes // 2
-
-
-def cyclic_distance(j: int, k: int, nodes: int) -> int:
-    """Shortest hop count between sites j and k around the ring (1-based)."""
-    d = abs(j - k)
-    return min(d, nodes - d)
 
 
 @dataclass(frozen=True)

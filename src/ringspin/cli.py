@@ -6,8 +6,9 @@ spectrum    eigenvalue table of one (N, M) model
 probmap     window-averaged transfer probabilities over all (M, target)
 jmap        truncation errors over all (M, target) plus per-M averages
 threshold   minimal accurate truncation radius per chain length, with audit
-fit         decay-curve parameters per chain length, plus their drift
-            across lengths (table `trend`) for three or more lengths
+fit         decay-curve parameters per chain length, plus the regression
+            slope of each parameter against N (table `trend`) for three or
+            more distinct lengths
 validate    the `oracle` checks of the closed form; nonzero exit on failure
 
 A table is a name and its columns, one 1-D array or sequence each, and it
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainSpec, CouplingProfile, dipolar_ratios, max_neighbors
-from .fitting import FitSeries, fit_decay, fit_trends
+from .fitting import fit_decay, fit_trends
 from .metrics import (
     TimeWindow,
     accuracy_threshold,
@@ -200,9 +201,9 @@ def cmd_fit(args) -> list[Table]:
                     | {f: [getattr(fp, f) for _, fp in fits] for f in fields})]
     series = dict(fits)
     if len(series) >= 3:
-        trend = fit_trends(FitSeries(tuple(sorted(series.items()))))
-        tables.append(Table("trend", {f"slope_{p}": [v] for p, v in trend.slopes.items()}
-                            | {f"sign_ok_{p}": [ok] for p, ok in trend.matches_expected.items()}))
+        lengths = sorted(series)
+        slopes = fit_trends(lengths, [series[n] for n in lengths])
+        tables.append(Table("trend", {f"slope_{p}": [v] for p, v in slopes.items()}))
     return tables
 
 

@@ -22,10 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EXPECTED_TREND_SIGNS",
     "FitParams",
-    "FitSeries",
-    "TrendReport",
     "decay_model",
     "fit_decay",
     "fit_trends",
@@ -76,9 +73,7 @@ class FitParams:
     """Fitted decay-curve parameters plus convergence diagnostics.
 
     `condition_number` is cond(J^T J) at the solution; large values flag the
-    weak (b, d) identifiability of short, nearly flat curves.  `cost_trace`
-    lists the sum of squares after each accepted step (monotone by
-    construction).
+    weak (b, d) identifiability of short, nearly flat curves.
     """
 
     a: float
@@ -89,23 +84,15 @@ class FitParams:
     converged: bool
     iterations: int
     condition_number: float
-    cost_trace: tuple[float, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d])
-
-    def __call__(self, x):
-        return decay_model(x, self.a, self.b, self.c, self.d)
 
 
-def fit_decay(points, start=None, max_iter: int = MAX_ITERATIONS) -> FitParams:
+def fit_decay(points) -> FitParams:
     """Fit the decay curve to (radius, mean error) points.
 
-    Needs at least 5 points with radii >= 2 and nonnegative errors.  An
-    explicit `start` whose pole lies inside the data interval is
-    re-initialized with b = 0 before iterating.  Stops when the relative
-    damped step drops below 1e-10; if `max_iter` is exhausted first the
-    best parameters so far are returned with `converged=False`.
+    Needs at least 5 points with radii >= 2 and nonnegative errors.  Stops
+    when the relative damped step drops below 1e-10; if MAX_ITERATIONS are
+    exhausted first the best parameters so far are returned with
+    `converged=False`.
     """
     pts = np.asarray(sorted((float(m), float(j)) for m, j in points))
     if pts.shape[0] < 5:
@@ -119,23 +106,14 @@ def fit_decay(points, start=None, max_iter: int = MAX_ITERATIONS) -> FitParams:
         raise ValueError("error values must be nonnegative")
     x_lo, x_hi = x[0], x[-1]
 
-    if start is None:
-        p = _initial_guess(x, y)
-    else:
-        p = np.asarray(start, dtype=float).copy()
-        if p.shape != (4,):
-            raise ValueError("start must contain (a, b, c, d)")
-        if _pole_inside(p[1], p[3], x_lo, x_hi):
-            p[1] = 0.0
-
+    p = _initial_guess(x, y)
     r = decay_model(x, *p) - y
     cost = float(r @ r)
-    trace = [cost]
     damping = 1e-3
     converged = False
     n_iter = 0
     A = np.zeros((4, 4))
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITERATIONS + 1):
         J = _jacobian(x, *p)
         g = J.T @ r
         A = J.T @ J
@@ -162,7 +140,6 @@ def fit_decay(points, start=None, max_iter: int = MAX_ITERATIONS) -> FitParams:
                 cost_new = float(r_new @ r_new)
             if cost_new <= cost:
                 p, r, cost = candidate, r_new, cost_new
-                trace.append(cost)
                 damping = max(damping / 3.0, 1e-14)
                 accepted = True
                 break
@@ -182,61 +159,16 @@ def fit_decay(points, start=None, max_iter: int = MAX_ITERATIONS) -> FitParams:
         converged=converged,
         iterations=n_iter,
         condition_number=cond,
-        cost_trace=tuple(trace),
     )
 
 
-@dataclass(frozen=True)
-class FitSeries:
-    """Fitted parameters for a family of chain lengths."""
-
-    entries: tuple[tuple[int, FitParams], ...]
-
-    def __post_init__(self):
-        nodes = [n for n, _ in self.entries]
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise ValueError("chain lengths must be strictly increasing")
-
-    def parameter(self, name: str) -> np.ndarray:
-        return np.array([getattr(fp, name) for _, fp in self.entries])
-
-    @property
-    def chain_lengths(self) -> np.ndarray:
-        return np.array([n for n, _ in self.entries])
-
-
-# sign of the expected drift of each parameter with growing chain length:
-# the offset and the denominator parameters sink while the exponential rate
-# climbs slowly
-EXPECTED_TREND_SIGNS = {"a": -1.0, "b": -1.0, "c": +1.0, "d": -1.0}
-
-
-@dataclass(frozen=True)
-class TrendReport:
-    """Signed linear drift of each fitted parameter across chain lengths."""
-
-    chain_lengths: tuple[int, ...]
-    slopes: dict[str, float]
-    matches_expected: dict[str, bool]
-
-
-def fit_trends(series: FitSeries) -> TrendReport:
-    """Regression slope of each parameter against N, flagged against the
-    expected drift directions.  Needs at least 3 chain lengths."""
-    if len(series.entries) < 3:
-        raise ValueError(f"need at least 3 chain lengths, got {len(series.entries)}")
-    lengths = series.chain_lengths.astype(float)
-    slopes = {}
-    matches = {}
-    for name, sign in EXPECTED_TREND_SIGNS.items():
-        values = series.parameter(name)
-        slope = float(np.polyfit(lengths, values, 1)[0])
-        if abs(slope) < 1e-12:  # flat within regression rounding
-            slope = 0.0
-        slopes[name] = slope
-        matches[name] = bool(slope == 0.0 or np.sign(slope) == sign)
-    return TrendReport(
-        chain_lengths=tuple(int(n) for n in series.chain_lengths),
-        slopes=slopes,
-        matches_expected=matches,
-    )
+def fit_trends(lengths, fits) -> dict[str, float]:
+    """Regression slope of each fitted parameter against the chain length,
+    one per parameter name.  Needs at least 3 distinct lengths."""
+    lengths = np.asarray(lengths, dtype=float)
+    if lengths.size < 3 or np.unique(lengths).size != lengths.size:
+        raise ValueError(f"need at least 3 distinct chain lengths, got {lengths.tolist()}")
+    values = np.array([[fp.a, fp.b, fp.c, fp.d] for fp in fits])
+    slopes = np.polyfit(lengths, values, 1)[0]
+    # |slope| < 1e-12 is flat within regression rounding
+    return {name: 0.0 if abs(v) < 1e-12 else float(v) for name, v in zip("abcd", slopes)}

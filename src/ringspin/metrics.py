@@ -57,8 +57,8 @@ temporaries in cache.
 Mirror symmetry makes targets n and N+2-n equivalent, so only
 n = 1..max_neighbors+1 are computed; the mode multiplicities weight them
 back to the full-ring average (targets and modes are the same reflection
-orbits of Z_N).  The scalar metrics are views on the same kernels;
-composite-Simpson quadrature is only a cross-check (see `oracle`).
+orbits of Z_N).  Composite-Simpson quadrature is only a cross-check (see
+`oracle`).
 """
 
 from __future__ import annotations
@@ -70,22 +70,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import ChainSpec, CouplingProfile, max_neighbors
-from .spectral import eigenvalue_shifts, mode_count, mode_eigenvalues, mode_multiplicities
+from .spectral import eigenvalue_shifts, mode_count, mode_multiplicities
 
 __all__ = [
     "DEGENERACY_TOL",
     "MIN_T_MAX",
     "ThresholdResult",
     "TimeWindow",
-    "TransferMetrics",
     "accuracy_threshold",
-    "avg_probability",
     "error_map",
     "independent_targets",
-    "mean_truncation_error",
     "probability_map",
-    "transfer_metrics",
-    "truncation_error",
 ]
 
 # frequencies closer than this are integrated as exactly degenerate
@@ -481,72 +476,6 @@ def _mode_errors(
         raise ValueError("negative truncation-error power: the window integrals "
                          "lost their precision")
     return _finite(np.sqrt(num / den))
-
-
-def _target_index(nodes: int, target: int) -> int:
-    """Column of `target` in the per-target arrays, by mirror symmetry."""
-    if not 1 <= target <= nodes:
-        raise ValueError(f"target must lie in [1, {nodes}], got {target}")
-    return min(target, nodes + 2 - target) - 1
-
-
-def avg_probability(
-    spec: ChainSpec, profile: CouplingProfile, target: int, window: TimeWindow
-) -> float:
-    """Transfer probability |p_{1,target}(tau)|^2 averaged over the window."""
-    i = _target_index(spec.nodes, target)
-    lam = mode_eigenvalues(spec, profile)
-    return float(_mode_probabilities(spec.nodes, lam, np.zeros((1, lam.size)),
-                                     window.t_max)[0, i])
-
-
-def truncation_error(
-    spec: ChainSpec, profile: CouplingProfile, target: int, window: TimeWindow
-) -> float:
-    """Relative L2 error of the M-truncated amplitude 1 -> target against the
-    all-node dynamics over the window.  Zero when spec is untruncated."""
-    i = _target_index(spec.nodes, target)
-    return float(transfer_metrics(spec, profile, window).errors[i])
-
-
-def mean_truncation_error(
-    spec: ChainSpec, profile: CouplingProfile, window: TimeWindow
-) -> float:
-    """Truncation error averaged over all N targets via mirror multiplicity:
-    endpoints count once (twice for the odd-N halfway site), interior targets
-    twice, total weight N."""
-    return transfer_metrics(spec, profile, window).mean_error
-
-
-@dataclass(frozen=True)
-class TransferMetrics:
-    """Per-target window metrics of one truncated model."""
-
-    targets: tuple[int, ...]
-    avg_probabilities: np.ndarray
-    errors: np.ndarray
-    mean_error: float
-
-
-def transfer_metrics(
-    spec: ChainSpec, profile: CouplingProfile, window: TimeWindow
-) -> TransferMetrics:
-    """Probabilities and truncation errors of every independent target at
-    one radius; the profile must cover the full range for the reference."""
-    lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(spec.nodes), profile)
-    shift = shifts[spec.neighbors - 1 : spec.neighbors]
-    probs = _mode_probabilities(spec.nodes, lam_ref, shift, window.t_max)[0]
-    if spec.untruncated:
-        errors = np.zeros_like(probs)  # truncated and reference dynamics coincide
-    else:
-        errors = _mode_errors(spec.nodes, lam_ref, shift, window.t_max)[0]
-    mult = mode_multiplicities(spec.nodes)
-    return TransferMetrics(
-        targets=independent_targets(spec.nodes),
-        avg_probabilities=probs,
-        errors=errors,
-        mean_error=float(mult @ errors) / spec.nodes,
-    )
 
 
 def probability_map(

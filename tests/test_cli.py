@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringspin.chain import dipolar_ratios, max_neighbors
 from ringspin.cli import Table, _body, _emit, main
-from ringspin.fitting import FitSeries, fit_decay, fit_trends
+from ringspin.fitting import fit_decay, fit_trends
 from ringspin.metrics import MIN_T_MAX, TimeWindow, error_map
 from ringspin.spectral import mode_multiplicities
 
@@ -184,18 +184,14 @@ class TestFitCommand:
         assert run(["fit", "--n-list", "36,20,70", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [row[0] for row in payload["fit"]["rows"]] == [36, 20, 70]
-        entries = []
-        for nodes in (20, 36, 70):
+        lengths, fits = (20, 36, 70), []
+        for nodes in lengths:
             _, means = error_map(nodes, dipolar_ratios(nodes), TimeWindow.matched(nodes))
-            entries.append((nodes, fit_decay([(m, means[m - 1]) for m in range(2, nodes // 2)])))
-        report = fit_trends(FitSeries(tuple(entries)))
-        names = list(report.slopes)
-        assert payload["trend"]["columns"] == (
-            [f"slope_{p}" for p in names] + [f"sign_ok_{p}" for p in names]
-        )
+            fits.append(fit_decay([(m, means[m - 1]) for m in range(2, nodes // 2)]))
+        slopes = fit_trends(lengths, fits)
+        assert payload["trend"]["columns"] == ["slope_a", "slope_b", "slope_c", "slope_d"]
         (row,) = payload["trend"]["rows"]
-        assert row[:4] == pytest.approx(list(report.slopes.values()), rel=1e-12)
-        assert row[4:] == [int(report.matches_expected[p]) for p in names]
+        assert row == pytest.approx(list(slopes.values()), rel=1e-12)
 
     @pytest.mark.parametrize("lengths", [["--n", "20"], ["--n-list", "20,36"],
                                          ["--n-list", "20,36,20"]])
@@ -219,8 +215,7 @@ class TestOutputFormats:
             for i, (name, table) in enumerate(payload.items()):
                 header, rows = read_csv(csv_out if i == 0 else tmp_path / f"t_{name}.csv")
                 assert table["columns"] == header
-                kinds = [int if col in INT_COLUMNS or col.startswith("sign_ok_") else float
-                         for col in header]
+                kinds = [int if col in INT_COLUMNS else float for col in header]
                 for csv_row, json_row in zip(rows, table["rows"], strict=True):
                     assert [type(v) for v in json_row] == kinds, (argv, name)
                     assert [kind(v) for kind, v in zip(kinds, csv_row)] == json_row

@@ -11,13 +11,9 @@ from ringspin.metrics import (
     MIN_T_MAX,
     TimeWindow,
     accuracy_threshold,
-    avg_probability,
     error_map,
     independent_targets,
-    mean_truncation_error,
     probability_map,
-    transfer_metrics,
-    truncation_error,
 )
 from ringspin.metrics import (_mixed_difference, _mode_errors, _one_minus_cos, _PairKernels,
                               _plain_kernel)
@@ -46,69 +42,79 @@ class TestTimeWindow:
         assert TimeWindow.matched(70).t_max == 70.0
 
 
+def mirror_columns(nodes: int) -> np.ndarray:
+    """Map column of every target 1..N: target n and its mirror N+2-n share one."""
+    n = np.arange(1, nodes + 1)
+    return np.minimum(n, nodes + 2 - n) - 1
+
+
 class TestAvgProbability:
     def test_square_ring_return_probability(self):
         # |p_11|^2 = cos^4 tau on the nearest-neighbor 4-ring
-        value = avg_probability(ChainSpec(4, 1), dipolar_ratios(4), 1, TimeWindow(4.0))
+        value = probability_map(4, dipolar_ratios(4), TimeWindow(4.0))[0, 0]
         assert value == pytest.approx(COS4_AVG_T4, abs=1e-13)
 
     def test_short_window_limit(self):
         # continuity: P_1 -> 1 as the window shrinks
-        value = avg_probability(ChainSpec(6, 3), dipolar_ratios(6), 1, TimeWindow(1e-9))
+        value = probability_map(6, dipolar_ratios(6), TimeWindow(1e-9))[-1, 0]
         assert value == pytest.approx(1.0, abs=1e-9)
-
-    def test_target_bounds(self):
-        with pytest.raises(ValueError):
-            avg_probability(ChainSpec(6, 2), dipolar_ratios(6), 7, TimeWindow(6.0))
 
     @given(nodes=st.integers(min_value=3, max_value=30))
     @settings(max_examples=30)
     def test_mirror_weighted_sum_is_one(self, nodes):
-        """Time averaging preserves unitarity: probabilities over the
-        independent targets, counted with mirror multiplicity, sum to 1."""
-        spec = ChainSpec(nodes, max(1, max_neighbors(nodes) // 2))
-        profile = dipolar_ratios(nodes)
-        window = TimeWindow.matched(nodes)
-        probs = np.array([
-            avg_probability(spec, profile, t, window)
-            for t in independent_targets(nodes)
-        ])
+        """Time averaging preserves unitarity: at every radius the
+        probabilities over the independent targets, counted with mirror
+        multiplicity, sum to 1."""
+        probs = probability_map(nodes, dipolar_ratios(nodes), TimeWindow.matched(nodes))
         mult = mode_multiplicities(nodes)
         assert int(mult.sum()) == nodes
-        assert float(mult @ probs) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(probs @ mult, 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestTruncationError:
     def test_zero_at_full_range(self):
-        spec = ChainSpec.all_neighbors(10)
-        profile = dipolar_ratios(10)
-        for target in (1, 3, 6):
-            assert truncation_error(spec, profile, target, TimeWindow(10.0)) == 0.0
+        """The kernel itself gives exactly 0 at the untruncated radius, where
+        every shift is 0, and so does the map's last row."""
+        for nodes in (10, 11):
+            profile = dipolar_ratios(nodes)
+            lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
+            assert np.all(shifts[-1] == 0.0)
+            assert np.all(_mode_errors(nodes, lam_ref, shifts[-1:], float(nodes)) == 0.0)
+            assert np.all(error_map(nodes, profile, TimeWindow.matched(nodes))[0][-1] == 0.0)
 
     def test_reflection_invariance(self):
-        spec = ChainSpec(12, 3)
-        profile = dipolar_ratios(12)
-        window = TimeWindow(12.0)
+        """Targets k and N+2-k have equal errors, checked on Simpson integrals
+        of the amplitudes, independently of the maps' one column per pair."""
+        nodes, t_max, step = 12, 12.0, 1e-3
+        grid = np.linspace(0.0, t_max, int(round(t_max / step)) + 1)
+        profile = dipolar_ratios(nodes)
+        spec, full = ChainSpec(nodes, 3), ChainSpec.all_neighbors(nodes)
+
+        def simpson_error(target):
+            p = amplitude(spec, profile, 1, target, grid)
+            p_ref = amplitude(full, profile, 1, target, grid)
+            return math.sqrt(simpson_integral(np.abs(p - p_ref) ** 2, t_max)
+                             / simpson_integral(np.abs(p_ref) ** 2, t_max))
+
         for k in (2, 3, 5):
-            mirror = 12 + 2 - k
-            a = truncation_error(spec, profile, k, window)
-            b = truncation_error(spec, profile, mirror, window)
-            assert a == pytest.approx(b, abs=1e-12)
+            assert simpson_error(k) == pytest.approx(simpson_error(nodes + 2 - k), abs=1e-12)
 
     def test_agrees_with_simpson_quadrature(self):
+        """Rows M = 1, 2, 4 of the error map against Simpson integrals of the
+        amplitudes to every site 1..N, mirrors included."""
         nodes, t_max, step = 10, 10.0, 1e-3
         grid = np.linspace(0.0, t_max, int(round(t_max / step)) + 1)
         profile = dipolar_ratios(nodes)
         full = ChainSpec.all_neighbors(nodes)
-        window = TimeWindow(t_max)
-        for m in (1, 2, 4):
-            spec = ChainSpec(nodes, m)
-            for target in (1, 3, 6):
-                p = amplitude(spec, profile, 1, target, grid)
-                p_ref = amplitude(full, profile, 1, target, grid)
+        errors, _ = error_map(nodes, profile, TimeWindow(t_max))
+        columns = mirror_columns(nodes)
+        for target in range(1, nodes + 1):
+            p_ref = amplitude(full, profile, 1, target, grid)
+            den = simpson_integral(np.abs(p_ref) ** 2, t_max)
+            for m in (1, 2, 4):
+                p = amplitude(ChainSpec(nodes, m), profile, 1, target, grid)
                 num = simpson_integral(np.abs(p - p_ref) ** 2, t_max)
-                den = simpson_integral(np.abs(p_ref) ** 2, t_max)
-                exact = truncation_error(spec, profile, target, window)
+                exact = errors[m - 1, columns[target - 1]]
                 assert exact == pytest.approx(math.sqrt(num / den), abs=1e-6)
 
     def test_time_rescaling_invariance(self):
@@ -127,21 +133,16 @@ class TestTruncationError:
 
 class TestMeanTruncationError:
     def test_zero_at_full_range(self):
-        spec = ChainSpec.all_neighbors(9)
-        assert mean_truncation_error(spec, dipolar_ratios(9), TimeWindow(9.0)) == 0.0
+        _, means = error_map(9, dipolar_ratios(9), TimeWindow(9.0))
+        assert means[-1] == 0.0
 
     @pytest.mark.parametrize("nodes", [8, 9])
     def test_matches_weighted_sum(self, nodes):
-        spec = ChainSpec(nodes, 2)
-        profile = dipolar_ratios(nodes)
-        window = TimeWindow.matched(nodes)
-        errors = [
-            truncation_error(spec, profile, t, window)
-            for t in independent_targets(nodes)
-        ]
-        mult = mode_multiplicities(nodes)
-        expected = float(mult @ np.asarray(errors)) / nodes
-        assert mean_truncation_error(spec, profile, window) == pytest.approx(expected)
+        """The per-radius mean is the plain mean over all N targets, each
+        read from its mirror column."""
+        errors, means = error_map(nodes, dipolar_ratios(nodes), TimeWindow.matched(nodes))
+        np.testing.assert_allclose(means, errors[:, mirror_columns(nodes)].mean(axis=1),
+                                   rtol=1e-14, atol=0.0)
 
 
 def steep_profile(nodes: int, rate: float = 2.0) -> CouplingProfile:
@@ -151,12 +152,13 @@ def steep_profile(nodes: int, rate: float = 2.0) -> CouplingProfile:
     return CouplingProfile(tuple(np.exp(-rate * np.arange(max_neighbors(nodes)))))
 
 
-def eigenvector_forms(nodes: int, profile: CouplingProfile, t_max: float):
+def eigenvector_forms(nodes: int, profile: CouplingProfile, t_max: float, targets=None):
     """Reference maps from one explicit quadratic form per (M, target):
     eigenvector weights of the (1, n) element, eigenvalues summed directly
     from their cosine formula, and the joined spectrum (+w on lam, -w on
     lam_ref) for the error numerator.  A form is not clipped: a numerator
-    that rounds below zero gives a negative error, sign kept."""
+    that rounds below zero gives a negative error, sign kept.  Columns are
+    `targets`, by default the independent ones."""
 
     def power(w, lam):
         """int_0^T |sum_a w_a e^{-i lam_a tau}|^2 dtau."""
@@ -171,7 +173,8 @@ def eigenvector_forms(nodes: int, profile: CouplingProfile, t_max: float):
         if 2 * m == nodes:
             c[-1] = d[m - 1]  # the opposite node is a single neighbour
         lams.append(np.cos(np.outer(p, np.arange(1, m + 1))) @ c)
-    weights = [pair_mode_weights(nodes, 1, n) for n in independent_targets(nodes)]
+    targets = independent_targets(nodes) if targets is None else targets
+    weights = [pair_mode_weights(nodes, 1, n) for n in targets]
     probs = np.array([[power(w, lam) / t_max for w in weights] for lam in lams])
     errors = np.zeros_like(probs)
     for row, lam in enumerate(lams[:-1]):
@@ -204,26 +207,18 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("nodes, m", [(9, 2), (10, 3), (16, 5), (17, 8)])
     def test_scalar_views_match_eigenvector_forms(self, nodes, m):
-        """Every target 1..N, mirrors included, through each scalar view."""
+        """Every target 1..N, mirrors included, read off row M of the maps
+        through its mirror column, against forms built for that target."""
         profile = dipolar_ratios(nodes)
         window = TimeWindow(1.3 * nodes)
-        ref_probs, ref_errors = eigenvector_forms(nodes, profile, window.t_max)
-        spec = ChainSpec(nodes, m)
-        for target in range(1, nodes + 1):
-            i = min(target, nodes + 2 - target) - 1
-            assert avg_probability(spec, profile, target, window) == pytest.approx(
-                ref_probs[m - 1, i], abs=1e-12
-            )
-            assert truncation_error(spec, profile, target, window) == pytest.approx(
-                ref_errors[m - 1, i], abs=1e-12
-            )
-        tm = transfer_metrics(spec, profile, window)
-        assert tm.targets == independent_targets(nodes)
-        np.testing.assert_allclose(tm.avg_probabilities, ref_probs[m - 1], atol=1e-12)
-        np.testing.assert_allclose(tm.errors, ref_errors[m - 1], atol=1e-12)
-        expected_mean = float(mode_multiplicities(nodes) @ ref_errors[m - 1]) / nodes
-        assert tm.mean_error == pytest.approx(expected_mean, abs=1e-12)
-        assert mean_truncation_error(spec, profile, window) == tm.mean_error
+        ref_probs, ref_errors = eigenvector_forms(nodes, profile, window.t_max,
+                                                  targets=range(1, nodes + 1))
+        columns = mirror_columns(nodes)
+        errors, means = error_map(nodes, profile, window)
+        probs = probability_map(nodes, profile, window)
+        np.testing.assert_allclose(probs[m - 1, columns], ref_probs[m - 1], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(errors[m - 1, columns], ref_errors[m - 1], rtol=0.0, atol=1e-12)
+        assert means[m - 1] == pytest.approx(ref_errors[m - 1].mean(), abs=1e-12)
 
 
 class TestSweeps:
