@@ -192,10 +192,11 @@ def cmd_fit(args) -> list[Table]:
         window = _window(args, nodes)
         _, means = error_map(nodes, profile, window)
         points = [(m, means[m - 1]) for m in range(2, nf)]
-        fp = fit_decay(points)
-        if not fp.converged:
-            print(f"warning: fit for N={nodes} did not converge", file=sys.stderr)
-        fits.append((nodes, fp))
+        fits.append((nodes, fit_decay(points)))
+    stuck = [f"N={n} ({fp.iterations} iterations, condition number {fp.condition_number:.3g})"
+             for n, fp in fits if not fp.converged]
+    if stuck:
+        raise ValueError(f"fit did not converge for {', '.join(stuck)}")
     fields = ("a", "b", "c", "d", "rms", "converged", "iterations", "condition_number")
     tables = [Table("fit", {"nodes": [n for n, _ in fits]}
                     | {f: [getattr(fp, f) for _, fp in fits] for f in fields})]

@@ -18,8 +18,8 @@ import numpy as np
 
 from .chain import ChainSpec, build_matrix, dipolar_ratios, max_neighbors
 from .metrics import TimeWindow, error_map, independent_targets, probability_map
-from .spectral import (amplitude, eigenvalue_table, evolve, mode_multiplicities,
-                       pair_mode_weights)
+from .spectral import (_checked_states, amplitude, eigenvalue_table, evolve,
+                       mode_multiplicities, pair_mode_weights)
 
 __all__ = ["Check", "DenseEigenResult", "check_eigen", "check_perfect_transfer",
            "check_propagator", "check_quadrature", "dense_eigen", "expm_propagate",
@@ -27,8 +27,8 @@ __all__ = ["Check", "DenseEigenResult", "check_eigen", "check_perfect_transfer",
 
 MAX_EIGEN_SIZE = 256
 MAX_PROPAGATE_SIZE = 64
-# samples of one quadrature grid; each (targets x samples) complex array
-# then stays below about 70 MB up to N = 40
+# samples of one quadrature grid; each (modes x samples) phase table and
+# (targets x samples) sample array then stays below about 35 MB up to N = 40
 MAX_QUAD_SAMPLES = 200_000
 # projectors of eigenvalues closer than this are summed into one subspace
 GROUP_TOL = 1e-6
@@ -56,35 +56,31 @@ def dense_eigen(matrix) -> DenseEigenResult:
 
 
 def expm_propagate(matrix, initial, tau: float) -> np.ndarray:
-    """exp(-i G tau) initial via the dense decomposition of G.  `matrix` is
-    G itself or its `DenseEigenResult`, so that one decomposition serves
-    many propagations."""
+    """exp(-i G tau) on each state stacked along the leading axes of `initial`
+    (sites last), via the dense decomposition of G.  `matrix` is G itself or
+    its `DenseEigenResult`, so that one decomposition serves many stacks."""
     eig = matrix if isinstance(matrix, DenseEigenResult) else None
     size = eig.values.size if eig else np.shape(matrix)[0]
     if size > MAX_PROPAGATE_SIZE:
         raise ValueError(f"oracle limited to {MAX_PROPAGATE_SIZE} sites")
-    v = np.asarray(initial, dtype=complex)
-    if v.shape != (size,):
-        raise ValueError(f"state must have shape ({size},), got {v.shape}")
-    norm_sq = float(np.sum(np.abs(v) ** 2))
-    if abs(norm_sq - 1.0) > 1e-9:
-        raise ValueError(f"state is not normalized: sum |a_j|^2 = {norm_sq!r}")
+    v = _checked_states(initial, size)
     eig = eig or dense_eigen(matrix)
-    return eig.vectors @ (np.exp(-1j * eig.values * float(tau)) * (eig.vectors.T @ v))
+    return ((v @ eig.vectors) * np.exp(-1j * eig.values * float(tau))) @ eig.vectors.T
 
 
-def simpson_integral(samples, t_max: float) -> float:
-    """Composite Simpson rule for uniform samples of f over [0, t_max].
+def simpson_integral(samples, t_max: float):
+    """Composite Simpson rule for uniform samples of f over [0, t_max] along
+    the last axis: one integral per leading index, a float for 1-D samples.
 
     Requires an odd number of samples (even interval count).
     """
     y = np.asarray(samples, dtype=float)
-    if y.ndim != 1 or y.size < 3:
-        raise ValueError("need a 1-D array of at least 3 samples")
-    if y.size % 2 == 0:
-        raise ValueError(f"sample count must be odd, got {y.size}")
-    h = float(t_max) / (y.size - 1)
-    return (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()) * h / 3.0
+    count = y.shape[-1] if y.ndim else 0
+    if count < 3 or count % 2 == 0:
+        raise ValueError(f"need an odd sample count >= 3 along the last axis, got {count}")
+    h = float(t_max) / (count - 1)
+    return (y[..., 0] + y[..., -1] + 4.0 * y[..., 1:-1:2].sum(axis=-1)
+            + 2.0 * y[..., 2:-1:2].sum(axis=-1)) * h / 3.0
 
 
 @dataclass(frozen=True)
@@ -138,7 +134,7 @@ def check_propagator() -> Check:
     """Closed-form propagation of 20 random normalized states vs the matrix
     exponential on dipolar rings of both parities, at the smallest and the
     largest radius and tau in {0.1, 1, N}; each generator is decomposed
-    once."""
+    once, and the 20 states of a case propagate as one stack."""
     rng = np.random.default_rng(20260810)
     worst = 0.0
     for nodes in (4, 5, 8, 11, 12):
@@ -147,12 +143,19 @@ def check_propagator() -> Check:
             spec = ChainSpec(nodes, m)
             eig = dense_eigen(build_matrix(spec, profile))
             for tau in (0.1, 1.0, float(nodes)):
-                for _ in range(20):
-                    v = rng.normal(size=nodes) + 1j * rng.normal(size=nodes)
-                    v /= np.linalg.norm(v)
-                    dev = np.abs(evolve(spec, profile, v, tau) - expm_propagate(eig, v, tau))
-                    worst = max(worst, float(dev.max()))
+                parts = rng.normal(size=(20, 2, nodes))
+                v = parts[:, 0] + 1j * parts[:, 1]
+                v /= np.linalg.norm(v, axis=-1, keepdims=True)
+                dev = np.abs(evolve(spec, profile, v, tau) - expm_propagate(eig, v, tau))
+                worst = max(worst, float(dev.max()))
     return Check("propagator closed form vs matrix exponential", worst, 1e-8)
+
+
+def _sampled_amplitudes(W, lam, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of W @ exp(-i lam (x) grid) from real cos and sin tables, which
+    cost about half the complex exponential; one radius is sampled at a time."""
+    phase = np.outer(lam, grid)
+    return W @ np.cos(phase), -(W @ np.sin(phase))
 
 
 def check_quadrature(step: float, sizes) -> Check:
@@ -171,14 +174,14 @@ def check_quadrature(step: float, sizes) -> Check:
         grid = np.linspace(0.0, t_max, intervals + intervals % 2 + 1)  # Simpson: even count
         W = pair_mode_weights(nodes, 1, np.array(independent_targets(nodes)))
         table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
-        rows_ref = W @ np.exp(-1j * np.outer(table[-1], grid))
-        den = np.array([simpson_integral(np.abs(r) ** 2, t_max) for r in rows_ref])
+        ref_re, ref_im = _sampled_amplitudes(W, table[-1], grid)
+        den = simpson_integral(ref_re ** 2 + ref_im ** 2, t_max)
         probs = probability_map(nodes, profile, window)
         errors, _ = error_map(nodes, profile, window)
         for lam, prob_row, error_row in zip(table, probs, errors):
-            rows = W @ np.exp(-1j * np.outer(lam, grid))
-            quad_prob = np.array([simpson_integral(np.abs(r) ** 2, t_max) for r in rows])
-            num = np.array([simpson_integral(np.abs(d) ** 2, t_max) for d in rows - rows_ref])
+            re, im = _sampled_amplitudes(W, lam, grid)
+            quad_prob = simpson_integral(re ** 2 + im ** 2, t_max)
+            num = simpson_integral((re - ref_re) ** 2 + (im - ref_im) ** 2, t_max)
             quad_err = np.sqrt(num / den)
             worst = max(worst, float(np.abs(quad_prob / t_max - prob_row).max()),
                         float(np.abs(quad_err - error_row).max()))

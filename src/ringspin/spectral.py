@@ -166,17 +166,28 @@ def amplitude(spec: ChainSpec, profile: CouplingProfile, j: int, k: int, tau):
     return phases @ w
 
 
-def evolve(spec: ChainSpec, profile: CouplingProfile, initial, tau: float) -> np.ndarray:
-    """Propagate a one-excitation state vector by dimensionless time tau.
-
-    `initial` must be a length-N complex vector with unit norm; the result
-    is ifft(exp(-i lam_q tau) fft(initial)), unitary to rounding.
-    """
+def _checked_states(initial, nodes: int) -> np.ndarray:
+    """`initial` as complex states stacked on its leading axes (sites last),
+    refused unless every state has `nodes` sites and unit norm."""
     v = np.asarray(initial, dtype=complex)
-    if v.shape != (spec.nodes,):
-        raise ValueError(f"state must have shape ({spec.nodes},), got {v.shape}")
-    norm_sq = float(np.vdot(v, v).real)
-    if abs(norm_sq - 1.0) > STATE_NORM_TOL:
-        raise ValueError(f"state is not normalized: sum |a_j|^2 = {norm_sq!r}")
+    if v.shape[-1:] != (nodes,):
+        raise ValueError(f"states must have shape (..., {nodes}), got {v.shape}")
+    norm_sq = np.sum(np.abs(v) ** 2, axis=-1).reshape(-1)
+    off = np.nan_to_num(np.abs(norm_sq - 1.0), nan=np.inf)
+    if np.any(off > STATE_NORM_TOL):
+        worst = int(off.argmax())
+        raise ValueError(f"state {worst} of {off.size} is not normalized: "
+                         f"sum |a_j|^2 = {norm_sq[worst]!r}")
+    return v
+
+
+def evolve(spec: ChainSpec, profile: CouplingProfile, initial, tau: float) -> np.ndarray:
+    """Propagate one-excitation states by dimensionless time tau.
+
+    `initial` stacks unit-norm length-N states on its leading axes (one state
+    is a stack of one); the result, of its shape, is ifft(exp(-i lam_q tau)
+    fft(state)) along the last axis, unitary to rounding.
+    """
+    v = _checked_states(initial, spec.nodes)
     phases = np.exp(eigenvalues(spec, profile) * (-1j * float(tau)))
     return np.fft.ifft(phases * np.fft.fft(v))

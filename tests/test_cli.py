@@ -170,12 +170,17 @@ class TestFitCommand:
         assert rows[0][6:] == [str(int(fp.converged)), str(fp.iterations),
                                format(fp.condition_number, ".15g")]
 
-    def test_short_window_fit_runs_clean(self, capsys):
+    def test_short_window_fit_runs_clean(self, capsys, tmp_path):
         """Trial steps that overflow the model are rejected as failed
-        steps, with no RuntimeWarning (an error in this suite)."""
-        assert run(["fit", "--n-list", "46,70", "--t-max", "1"]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == ["46", "70"]
+        steps, with no RuntimeWarning (an error in this suite); the fits
+        then exhaust their iterations, and a fit that did not converge is
+        refused with exit 2, naming every such length and writing nothing."""
+        out = tmp_path / "fit.csv"
+        assert run(["fit", "--n-list", "46,70", "--t-max", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "did not converge" in captured.err
+        assert "N=46 (200 iterations" in captured.err and "N=70 (200 iterations" in captured.err
 
     def test_too_short_chain_is_bad_config(self):
         assert run(["fit", "--n", "8"]) == 2

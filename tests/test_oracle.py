@@ -92,6 +92,42 @@ class TestExpmPropagate:
         assert oracle.check_propagator().passed
         assert len(calls) == 10  # five rings, two radii each
 
+    def test_check_propagator_propagates_each_case_as_one_stack(self, monkeypatch):
+        shapes = {"evolve": [], "expm_propagate": []}
+
+        def recording(name, fn):
+            def call(*args):
+                shapes[name].append(np.shape(args[-2]))  # the states precede tau
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(oracle, "evolve", recording("evolve", oracle.evolve))
+        monkeypatch.setattr(oracle, "expm_propagate", recording("expm_propagate", expm_propagate))
+        assert oracle.check_propagator().passed
+        # five rings, two radii each, three times each; one stack of 20 states per case
+        assert [len(seen) for seen in shapes.values()] == [30, 30]
+        assert all(shape[0] == 20 for seen in shapes.values() for shape in seen)
+
+    def test_stack_matches_row_by_row(self):
+        eig = dense_eigen(build_matrix(ChainSpec(10, 4), dipolar_ratios(10)))
+        rng = np.random.default_rng(29)
+        stack = rng.normal(size=(3, 2, 10)) + 1j * rng.normal(size=(3, 2, 10))
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        out = expm_propagate(eig, stack, 6.5)
+        assert out.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-1]):
+            np.testing.assert_allclose(out[index], expm_propagate(eig, stack[index], 6.5),
+                                       rtol=0, atol=1e-15)
+
+    def test_stack_refuses_one_bad_state(self):
+        eig = dense_eigen(build_matrix(ChainSpec(5, 2), dipolar_ratios(5)))
+        stack = np.tile(np.full(5, 1.0 / np.sqrt(5), dtype=complex), (3, 1))
+        stack[1] *= 0.5
+        with pytest.raises(ValueError, match="state 1 of 3 is not normalized"):
+            expm_propagate(eig, stack, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            expm_propagate(eig, np.full((3, 4), 0.5), 1.0)
+
     def test_rejects_unnormalized_and_oversize(self):
         G = build_matrix(ChainSpec(4, 1), dipolar_ratios(4))
         with pytest.raises(ValueError):
@@ -112,6 +148,20 @@ class TestSimpsonIntegral:
     def test_half_sine(self):
         grid = np.linspace(0.0, np.pi, 2001)
         assert simpson_integral(np.sin(grid), np.pi) == pytest.approx(2.0, abs=1e-10)
+
+    def test_rows_of_a_stack(self):
+        grid = np.linspace(0.0, 3.0, 601)
+        stack = np.stack([np.cos(grid) ** 2, np.sin(3.0 * grid), np.exp(-grid)])
+        stack = np.stack([stack, 2.0 * stack[::-1]])  # (2, 3, 601)
+        out = simpson_integral(stack, 3.0)
+        assert out.shape == (2, 3)
+        for index in np.ndindex(out.shape):
+            assert out[index] == pytest.approx(simpson_integral(stack[index], 3.0),
+                                               rel=0, abs=1e-15)
+        with pytest.raises(ValueError):
+            simpson_integral(np.ones((3, 600)), 3.0)
+        with pytest.raises(ValueError):
+            simpson_integral(np.ones((3, 1)), 3.0)
 
     def test_rejects_even_sample_count(self):
         with pytest.raises(ValueError):

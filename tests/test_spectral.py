@@ -271,6 +271,31 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(spec, profile, np.zeros(3, dtype=complex), 1.0)
 
+    def test_stack_matches_row_by_row(self):
+        spec = ChainSpec(9, 3)
+        profile = dipolar_ratios(9)
+        rng = np.random.default_rng(23)
+        stack = rng.normal(size=(2, 3, 9)) + 1j * rng.normal(size=(2, 3, 9))
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        out = evolve(spec, profile, stack, 4.2)
+        assert out.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-1]):
+            np.testing.assert_allclose(out[index], evolve(spec, profile, stack[index], 4.2),
+                                       rtol=0, atol=1e-15)
+
+    def test_stack_refuses_one_bad_state(self):
+        spec = ChainSpec(6, 2)
+        profile = dipolar_ratios(6)
+        stack = np.tile(np.full(6, 1.0 / np.sqrt(6), dtype=complex), (4, 1))
+        stack[2] *= 1.1
+        with pytest.raises(ValueError, match="state 2 of 4 is not normalized"):
+            evolve(spec, profile, stack, 1.0)
+        stack[2, :] = np.nan
+        with pytest.raises(ValueError, match="state 2 of 4"):
+            evolve(spec, profile, stack, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            evolve(spec, profile, np.full((4, 5), 1.0 / np.sqrt(5)), 1.0)
+
     @given(spec=ring_specs(max_nodes=16), tau=st.floats(min_value=0.0, max_value=30.0))
     @settings(max_examples=50)
     def test_output_stays_normalized(self, spec, tau):
