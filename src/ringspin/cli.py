@@ -22,6 +22,7 @@ formats.  Exit codes: 0 success, 1 validation failure, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -218,6 +219,7 @@ def cmd_validate(args) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser as it was, so one tree serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringspin",

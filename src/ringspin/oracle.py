@@ -7,6 +7,13 @@ and the exact window integrals.  Each `check_*` compares the two routes and
 returns a `Check`, the worst deviation with its tolerance.
 `validation_checks` is the suite that `ringspin validate` prints; the
 acceptance tests assert the same checks.
+
+The quadrature check samples the amplitudes themselves on a uniform grid
+and sums their powers with the Simpson weights.  The phases of a grid of S
+samples split into about sqrt(S) block starts and sqrt(S) in-block offsets,
+so one radius takes cos and sin on small (blocks x modes) and
+(modes x sqrt(S)) tables and gets its samples from matrix products; it holds
+four (targets x samples) arrays at a time.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ __all__ = ["Check", "DenseEigenResult", "check_eigen", "check_perfect_transfer",
 
 MAX_EIGEN_SIZE = 256
 MAX_PROPAGATE_SIZE = 64
-# samples of one quadrature grid; each (modes x samples) phase table and
-# (targets x samples) sample array then stays below about 35 MB up to N = 40
+# samples of one quadrature grid; each (targets x samples) array then stays
+# below about 35 MB up to N = 40, and the block phase tables below 4 MB
 MAX_QUAD_SAMPLES = 200_000
 # projectors of eigenvalues closer than this are summed into one subspace
 GROUP_TOL = 1e-6
@@ -68,6 +75,17 @@ def expm_propagate(matrix, initial, tau: float) -> np.ndarray:
     return ((v @ eig.vectors) * np.exp(-1j * eig.values * float(tau))) @ eig.vectors.T
 
 
+def _simpson_weights(count: int, t_max: float) -> np.ndarray:
+    """Weights h/3 (1, 4, 2, 4, ..., 2, 4, 1) of the composite Simpson rule
+    on `count` uniform samples over [0, t_max]; `count` must be odd."""
+    if count < 3 or count % 2 == 0:
+        raise ValueError(f"need an odd sample count >= 3 along the last axis, got {count}")
+    weights = np.full(count, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    return weights * (float(t_max) / (count - 1) / 3.0)
+
+
 def simpson_integral(samples, t_max: float):
     """Composite Simpson rule for uniform samples of f over [0, t_max] along
     the last axis: one integral per leading index, a float for 1-D samples.
@@ -75,12 +93,7 @@ def simpson_integral(samples, t_max: float):
     Requires an odd number of samples (even interval count).
     """
     y = np.asarray(samples, dtype=float)
-    count = y.shape[-1] if y.ndim else 0
-    if count < 3 or count % 2 == 0:
-        raise ValueError(f"need an odd sample count >= 3 along the last axis, got {count}")
-    h = float(t_max) / (count - 1)
-    return (y[..., 0] + y[..., -1] + 4.0 * y[..., 1:-1:2].sum(axis=-1)
-            + 2.0 * y[..., 2:-1:2].sum(axis=-1)) * h / 3.0
+    return y @ _simpson_weights(y.shape[-1] if y.ndim else 0, t_max)
 
 
 @dataclass(frozen=True)
@@ -151,11 +164,33 @@ def check_propagator() -> Check:
     return Check("propagator closed form vs matrix exponential", worst, 1e-8)
 
 
-def _sampled_amplitudes(W, lam, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Re and Im of W @ exp(-i lam (x) grid) from real cos and sin tables, which
-    cost about half the complex exponential; one radius is sampled at a time."""
-    phase = np.outer(lam, grid)
-    return W @ np.cos(phase), -(W @ np.sin(phase))
+def _sampled_amplitudes(W, lam, count: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of W @ exp(-i lam (x) tau) at tau_j = j h, j < count, one row
+    per row of W.  Sample j = i K + k, K about sqrt(count), has the phase of
+    block start i K h plus that of in-block offset k h, so cos and sin are
+    taken on (blocks x modes) and (modes x K) tables only:
+
+        Re = (W cos_start) @ cos_k - (W sin_start) @ sin_k
+        Im = -((W cos_start) @ sin_k + (W sin_start) @ cos_k),
+
+    four real products, paired along the mode axis into two matmuls."""
+    K = math.isqrt(count - 1) + 1
+    start = np.outer(np.arange(0, count, K) * h, lam)  # (blocks, modes)
+    offset = np.outer(lam, np.arange(K) * h)            # (modes, K)
+    left = np.tile(W, 2)[:, None, :] * np.concatenate((np.cos(start), np.sin(start)), axis=1)
+    left = left.reshape(-1, 2 * len(lam))               # (targets * blocks, 2 modes)
+    cos_k, sin_k = np.cos(offset), np.sin(offset)
+    rows = (len(W), -1)
+    re = (left @ np.concatenate((cos_k, -sin_k))).reshape(rows)[:, :count]
+    im = (left @ -np.concatenate((sin_k, cos_k))).reshape(rows)[:, :count]
+    return re, im
+
+
+def _power_integral(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j (re_j^2 + im_j^2) per row, with no (rows x samples)
+    temporary."""
+    return (np.einsum("tj,tj,j->t", re, re, weights)
+            + np.einsum("tj,tj,j->t", im, im, weights))
 
 
 def check_quadrature(step: float, sizes) -> Check:
@@ -171,18 +206,21 @@ def check_quadrature(step: float, sizes) -> Check:
         window = TimeWindow(t_max)
         profile = dipolar_ratios(nodes)
         intervals = int(round(t_max / step))
-        grid = np.linspace(0.0, t_max, intervals + intervals % 2 + 1)  # Simpson: even count
+        count = intervals + intervals % 2 + 1  # Simpson: an even interval count
+        h = t_max / (count - 1)
         W = pair_mode_weights(nodes, 1, np.array(independent_targets(nodes)))
         table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
-        ref_re, ref_im = _sampled_amplitudes(W, table[-1], grid)
-        den = simpson_integral(ref_re ** 2 + ref_im ** 2, t_max)
+        weights = _simpson_weights(count, t_max)
+        ref_re, ref_im = _sampled_amplitudes(W, table[-1], count, h)
+        den = _power_integral(ref_re, ref_im, weights)
         probs = probability_map(nodes, profile, window)
         errors, _ = error_map(nodes, profile, window)
         for lam, prob_row, error_row in zip(table, probs, errors):
-            re, im = _sampled_amplitudes(W, lam, grid)
-            quad_prob = simpson_integral(re ** 2 + im ** 2, t_max)
-            num = simpson_integral((re - ref_re) ** 2 + (im - ref_im) ** 2, t_max)
-            quad_err = np.sqrt(num / den)
+            re, im = _sampled_amplitudes(W, lam, count, h)
+            quad_prob = _power_integral(re, im, weights)
+            re -= ref_re
+            im -= ref_im
+            quad_err = np.sqrt(_power_integral(re, im, weights) / den)
             worst = max(worst, float(np.abs(quad_prob / t_max - prob_row).max()),
                         float(np.abs(quad_err - error_row).max()))
     return Check(f"window integrals vs Simpson (step {step:g})", worst, 1e-6)

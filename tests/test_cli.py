@@ -8,9 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringspin.chain import dipolar_ratios, max_neighbors
-from ringspin.cli import Table, _body, _emit, main
+from ringspin.cli import Table, _body, _build_parser, _emit, main
 from ringspin.fitting import fit_decay, fit_trends
-from ringspin.metrics import MIN_T_MAX, TimeWindow, error_map
+from ringspin.metrics import MIN_T_MAX, TimeWindow, accuracy_threshold, error_map
 from ringspin.spectral import mode_multiplicities
 
 HALF_SQRT2 = 2.0**-1.5
@@ -456,3 +456,33 @@ class TestValidateCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [ln.split()[0] for ln in lines] == ["PASS", "PASS", "PASS", "FAIL", "PASS"]
         assert lines[3].startswith("FAIL  window integrals vs Simpson (step 0.5)")
+
+
+class TestParserReuse:
+    """`main` builds the argument tree once per process; no call may leave
+    a parsed value or a default behind for the next."""
+
+    @staticmethod
+    def audit(tmp_path, argv):
+        out = tmp_path / "threshold.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        return [float(row[2]) for row in read_csv(tmp_path / "threshold_audit.csv")[1]]
+
+    def test_one_tree_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_window_of_one_call_does_not_leak(self, tmp_path):
+        wide = self.audit(tmp_path, ["threshold", "--n", "20", "--t-max", "40"])
+        default = self.audit(tmp_path, ["threshold", "--n", "20"])
+        expected = accuracy_threshold(20, dipolar_ratios(20), 0.1, TimeWindow(20.0))
+        assert default == [float("%.15g" % v) for v in expected.max_error_per_m]
+        assert wide != default
+
+    @pytest.mark.parametrize("bad", [["threshold", "--n", "20", "--epsilon", "x"],
+                                     ["threshold", "--n", "20", "--t-max"],
+                                     ["jmap", "--n", "20", "--bogus", "1"]])
+    def test_refused_arguments_leave_the_next_call_alone(self, tmp_path, capsys, bad):
+        before = self.audit(tmp_path, ["threshold", "--n", "20"])
+        assert run(bad) == 2
+        capsys.readouterr()
+        assert self.audit(tmp_path, ["threshold", "--n", "20"]) == before

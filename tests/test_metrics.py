@@ -261,7 +261,8 @@ def exact_maps(nodes: int, ratios, t_max: float, targets, digits: int = 50):
     decimal for the O(modes^2) pair sums (about ten times faster than mpmath
     numbers).  Eigenvalues are summed from their cosine formula, and the
     error numerator is the plain four-term form: at this precision its
-    cancellation costs nothing the test can see."""
+    cancellation costs nothing the test can see.  A target whose reference
+    power is exactly zero has no relative error: its entries are NaN."""
     mpmath = pytest.importorskip("mpmath")
     ctx = decimal.Context(prec=digits)
 
@@ -310,7 +311,8 @@ def exact_maps(nodes: int, ratios, t_max: float, targets, digits: int = 50):
                      for a, d in enumerate(x - y for x, y in zip(lam, ref))}
             k_cross = kernel(lam, ref, cross)
             num = k_lam + k_ref - k_cross - k_cross.T
-            errors.append([float((coef[s] @ num @ coef[s] / den[s]).sqrt()) for s in targets])
+            errors.append([float((coef[s] @ num @ coef[s] / den[s]).sqrt()) if den[s] else math.nan
+                           for s in targets])
     return np.array(probs), np.array(errors)
 
 
@@ -350,10 +352,42 @@ class TestHighPrecisionOracle:
         window = TimeWindow(factor * nodes)
         targets = independent_targets(nodes)
         probs, errors = exact_maps(nodes, profile.ratios, window.t_max, targets)
-        got_errors, _ = error_map(nodes, profile, window)
-        np.testing.assert_allclose(got_errors, errors, rtol=1e-10, atol=1e-300)
         np.testing.assert_allclose(probability_map(nodes, profile, window), probs,
                                    rtol=0.0, atol=1e-14)
+        if np.isnan(errors).any():  # a target the reference spectrum never reaches
+            with pytest.raises(ValueError, match="degenerate window"):
+                error_map(nodes, profile, window)
+            return
+        got_errors, _ = error_map(nodes, profile, window)
+        np.testing.assert_allclose(got_errors, errors, rtol=1e-10, atol=1e-300)
+
+
+class TestStateSumRule:
+    """Parseval for the state evolved from site 1: the error powers of all
+    targets, weighted by multiplicity and reference probability, add up to
+
+        sum_n mult_n err_n^2 P_ref,n = (2/N) sum_a mult_a (1 - sinc(delta_a T)),
+
+    delta the eigenvalue shifts of the radius.  The right side needs the
+    cancellation-free 1 - sinc: 1 - np.sinc is off by 1.6e-9 at N = 280."""
+
+    @pytest.mark.parametrize(
+        "make_profile, nodes",
+        [(dipolar_ratios, 20), (dipolar_ratios, 70), (dipolar_ratios, 71),
+         (dipolar_ratios, 280), (steep_profile, 40), (steep_profile, 71)],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_maps_obey_the_sum_rule(self, make_profile, nodes):
+        profile = make_profile(nodes)
+        window = TimeWindow.matched(nodes)
+        mult = mode_multiplicities(nodes)
+        errors, _ = error_map(nodes, profile, window)
+        p_ref = probability_map(nodes, profile, window)[-1]
+        _, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
+        # every radius but the last, where both sides are exactly zero
+        left = (errors[:-1] ** 2 * p_ref) @ mult
+        right = 2.0 / nodes * (metrics._one_minus_sinc(shifts[:-1] * window.t_max) @ mult)
+        np.testing.assert_allclose(left, right, rtol=1e-13, atol=0.0)
 
 
 def four_term_sum(u0, alpha, beta, t_max):
@@ -450,6 +484,15 @@ class TestCancellationFree:
                             lambda self, block: np.full(block.shape, -1.0))
         with pytest.raises(ValueError, match="negative"):
             error_map(8, dipolar_ratios(8), TimeWindow(8.0))
+
+    @pytest.mark.parametrize("t_max", [3.0, 10.0])
+    def test_unreachable_target_is_refused(self, t_max):
+        """Target 6 of this ring has exactly zero reference power; at T = 10
+        its form rounds to 2.2e-16 rather than 0, which gave an error of 1e8."""
+        profile = CouplingProfile((1.0, -1.0, -1.0, -1.0, 0.0))
+        assert probability_map(10, profile, TimeWindow(t_max))[-1, -1] < 1e-16
+        with pytest.raises(ValueError, match="degenerate window"):
+            error_map(10, profile, TimeWindow(t_max))
 
 
 # couplings on a coarse grid whose reference spectrum has exactly degenerate

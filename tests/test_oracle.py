@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ringspin import oracle
-from ringspin.chain import ChainSpec, build_matrix, dipolar_ratios
+from ringspin.chain import ChainSpec, build_matrix, dipolar_ratios, max_neighbors
+from ringspin.metrics import independent_targets
 from ringspin.oracle import dense_eigen, expm_propagate, simpson_integral
-from ringspin.spectral import eigenvalues
+from ringspin.spectral import amplitude, eigenvalues, mode_eigenvalues, pair_mode_weights
 
 HALF_SQRT2 = 2.0**-1.5
 
@@ -168,3 +169,32 @@ class TestSimpsonIntegral:
             simpson_integral(np.ones(4000), 4.0)
         with pytest.raises(ValueError):
             simpson_integral(np.ones(2), 1.0)
+
+
+class TestSampledAmplitudes:
+    """The block-phase sampler of `check_quadrature` against the direct
+    amplitude on the same grid; sample j = i K + k with K = isqrt(count - 1)
+    + 1 comes from block i and in-block offset k."""
+
+    # 3: two blocks, one sample in the last; 49: seven full blocks of 7;
+    # 48: the last block one short; 50 and 57: blocks of 8, the last one
+    # with 2 and 1 samples; 13001: the N = 13 grid of `validate`
+    @pytest.mark.parametrize("count", [3, 49, 48, 50, 57, 13001])
+    @pytest.mark.parametrize("nodes", [10, 13])
+    def test_matches_direct_amplitude(self, nodes, count):
+        profile = dipolar_ratios(nodes)
+        targets = independent_targets(nodes)
+        W = pair_mode_weights(nodes, 1, np.array(targets))
+        h = float(nodes) / (count - 1)
+        grid = np.arange(count) * h
+        for m in (1, max_neighbors(nodes)):
+            spec = ChainSpec(nodes, m)
+            re, im = oracle._sampled_amplitudes(W, mode_eigenvalues(spec, profile), count, h)
+            assert re.shape == im.shape == (len(targets), count)
+            direct = np.array([amplitude(spec, profile, 1, t, grid) for t in targets])
+            np.testing.assert_allclose(re, direct.real, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(im, direct.imag, rtol=0, atol=1e-13)
+
+    def test_quadrature_check_stays_at_rounding(self):
+        # 1.7e-14 with the default step: far inside the 1e-6 tolerance
+        assert oracle.check_quadrature(1e-3, (10, 13)).deviation < 1e-12
