@@ -37,23 +37,26 @@ products in which nothing cancels:
 with S = sin(u0 T), C = cos(u0 T), A1 = sin(delta T),
 A2 = 1 - cos(delta T) = 2 sin^2(delta T / 2), u1 = lam_a - lam'_b,
 u2 = lam'_a - lam_b and u3 = lam_a - lam_b.  The diagonal is
-2 T (1 - sinc(delta_a T)).  A pair with |u| T < POLE_SPAN for one of its
-four frequencies would divide by a small number; it takes a quadrature of
-the same difference that has no pole (`_mixed_difference`).  The
-probability kernel sin(u3 T) / u3 comes from the same tables by angle
+2 T (1 - sinc(delta_a T)).  An entry with |u| T < POLE_SPAN for one of its
+four frequencies would divide by a small number; it is evaluated apart, by
+the class of its steps (`_near_difference`): with both steps short, as
+one pole-free integral that a twelve-node Gauss-Legendre rule takes to
+rounding, and otherwise as two single differences along the shorter step.
+The probability kernel sin(u3 T) / u3 comes from the same tables by angle
 addition.
 
 Cost: per map, the N^2/2 sines and cosines of u0 T, the diagonal of every
-radius, and the pairs with |u0| T < POLE_SPAN, which are near a pole at
-every radius (`_PairKernels`).  A radius then needs O(N) sines of delta T,
-and per tile of (radius, pair) entries O(N^2) products, a few quotients, a
-pole mask and the fold, so a (M, target) map is O(N^3) with no N^2
-transcendental per radius.  The pairs are listed by cyclic offset d, {c,
-(c + d) mod m} for the m modes, so the per-mode tables reach a tile by two
-contiguous copies, one of a broadcast and one of a strided (Hankel) view of
-the tables written twice over, never by a gather; (a - b) mod N is constant
-on two runs per offset, so that fold adds run sums.  Tiles keep the
-temporaries in cache.
+radius, and the near-pole entries, a few dozen at the paper's lengths, in
+one batch (`_PairKernels`).  A radius then needs O(N) sines of delta T, and
+per tile of (radius, pair) entries O(N^2) products, a few quotients, a pole
+mask and the fold, so a (M, target) map is O(N^3) with no N^2
+transcendental per radius.  At N <= 70 a map is one or two tiles, so the
+per-map setup costs about as much as the arithmetic.  The pairs are listed
+by cyclic offset d, {c, (c + d) mod m} for the m modes, so the per-mode
+tables reach a tile by two contiguous copies, one of a broadcast and one
+of a strided (Hankel) view of the tables written twice over, never by a
+gather; (a - b) mod N is constant on two runs per offset, so that fold
+adds run sums.  Tiles keep the temporaries in cache.
 Mirror symmetry makes targets n and N+2-n equivalent, so only
 n = 1..max_neighbors+1 are computed; the mode multiplicities weight them
 back to the full-ring average (targets and modes are the same reflection
@@ -115,95 +118,87 @@ def independent_targets(nodes: int) -> tuple[int, ...]:
 def _plain_kernel(delta: np.ndarray, t_max: float) -> np.ndarray:
     """F(delta) = Re integral_0^T e^{-i delta tau} dtau = sin(delta T) / delta,
     T where |delta| <= DEGENERACY_TOL."""
-    near = np.abs(delta) <= DEGENERACY_TOL
-    return np.where(near, t_max, np.sin(delta * t_max) / np.where(near, 1.0, delta))
+    return np.divide(np.sin(delta * t_max), delta, out=np.full_like(delta, t_max),
+                     where=np.abs(delta) > DEGENERACY_TOL)
 
 
-# Taylor coefficients in x^2 of (1 - sinc x) / x^2, sinc' x / x and sinc'' x,
-# from sinc x = sin x / x = sum_m (-1)^m x^(2m) / (2m+1)!: ten terms reach
+# Taylor coefficients in x^2 of (1 - sinc x) / x^2, from
+# sinc x = sin x / x = sum_m (-1)^m x^(2m) / (2m+1)!: ten terms reach
 # rounding for |x| < 1
-_M = np.arange(1.0, 11.0)
-_TAYLOR = np.stack([-np.ones_like(_M), 2.0 * _M, 2.0 * _M * (2.0 * _M - 1.0)]) * (
-    (-1.0) ** _M / np.array([math.factorial(2 * m + 1) for m in range(1, 11)], dtype=float)
-)
-
-
-def _taylor(x: np.ndarray, series: int) -> np.ndarray:
-    """Row `series` of _TAYLOR at x, by Horner's rule in x^2."""
-    x2 = x * x
-    total = np.full_like(x2, _TAYLOR[series, -1])
-    for c in _TAYLOR[series, -2::-1]:
-        total *= x2
-        total += c
-    return total
+_TAYLOR = np.array([(-1.0) ** (m + 1) / math.factorial(2 * m + 1) for m in range(1, 11)])
 
 
 def _one_minus_sinc(x: np.ndarray) -> np.ndarray:
-    """1 - sin(x)/x without cancellation at small x."""
+    """1 - sin(x)/x without cancellation at small x: the Taylor series,
+    by Horner's rule in x^2, where |x| < 1."""
+    x2 = x * x
+    series = np.full_like(x2, _TAYLOR[-1])
+    for c in _TAYLOR[-2::-1]:
+        series *= x2
+        series += c
     small = np.abs(x) < 1.0
     wide = np.where(small, 1.0, x)
-    return np.where(small, x * x * _taylor(x, 0), 1.0 - np.sin(wide) / wide)
+    return np.where(small, x2 * series, 1.0 - np.sin(wide) / wide)
 
 
-def _sinc_derivative(x: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """d^k/dx^k sin(x)/x for k = `order` in {0, 1, 2}, by the closed forms,
-    and by the Taylor series where |x| < 1."""
-    wide = np.where(x == 0.0, 1.0, x)
-    s0 = np.sin(wide) / wide
-    s1 = (np.cos(wide) - s0) / wide
-    s2 = -s0 - 2.0 * s1 / wide
-    values = np.choose(order, (s0, s1, s2))
-    small = np.nonzero(np.abs(x) < 1.0)
-    xs, ks = x[small], np.broadcast_to(order, x.shape)[small]
-    values[small] = np.choose(ks, (1.0 - xs * xs * _taylor(xs, 0), xs * _taylor(xs, 1),
-                                   _taylor(xs, 2)))
-    return values
-
-
-# Gauss-Legendre rule on [0, 1] with six nodes (Abramowitz and Stegun,
-# table 25.4): it integrates a function of exponential type GL_SPAN to
-# about 1e-14
-_GL_HALF_X = np.array([0.238619186083196908630501721681, 0.661209386466264513661399595020,
-                       0.932469514203152027812301554494])
-_GL_HALF_W = np.array([0.467913934572691047389870343990, 0.360761573048138607569833513838,
-                       0.171324492379170345040296142173])
-_GL_X = 0.5 + 0.5 * np.concatenate((-_GL_HALF_X, _GL_HALF_X))
-_GL_W = 0.5 * np.concatenate((_GL_HALF_W, _GL_HALF_W))
-GL_SPAN = 2.0
-# the plain difference g(v + step) - g(v) on as many nodes: nodes 0 and 1
-# with weights -1 and 1, the rest with weight 0
-_DIFFERENCE_X = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-_DIFFERENCE_W = np.array([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-# an off-diagonal pair whose |u| T is below this for any of its four
-# frequencies u goes to `_mixed_difference`, which has no pole
+# Gauss-Legendre rule on [-1, 1] with twelve nodes, the positive half
+# (Abramowitz and Stegun, table 25.4), and the same rule on [0, 1]
+_GL_HALF_X = np.array([0.125233408511468915472441369464, 0.367831498998180193752691536644,
+                       0.587317954286617447296702418941, 0.769902674194304687036893833213,
+                       0.904117256370474856678465866119, 0.981560634246719250690549090149])
+_GL_HALF_W = np.array([0.249147045813402785000562436043, 0.233492536538354808760849898925,
+                       0.203167426723065921749064455810, 0.160078328543346226334652529543,
+                       0.106939325995318430960254718194, 0.047175336386511827194615961485])
+_GL_X = 0.5 + 0.5 * np.concatenate((-_GL_HALF_X[::-1], _GL_HALF_X))
+_GL_W = 0.5 * np.concatenate((_GL_HALF_W[::-1], _GL_HALF_W))
+# an entry whose |u| T is below POLE_SPAN for one of its four frequencies u
+# goes to `_near_difference`; there a step is short when |step| T <= GL_SPAN
+# and a base y near zero when |y| T <= BASE_SPAN, so that the twelve-node
+# rule meets frequencies of at most 5 / T, which it integrates to rounding
 POLE_SPAN = 1.0
+GL_SPAN = 2.0
+BASE_SPAN = 3.0
 # kernel entries per tile (class `_PairKernels`)
 TILE = 1 << 14
 
 
-def _difference_rule(step: np.ndarray, t_max: float):
-    """Nodes x, weights w and derivative order k with
-    g(v + step) - g(v) = sum_i w_i g^(k)(v + x_i) for g = sin(uT)/u:
-    step * int_0^1 g'(v + s step) ds by Gauss-Legendre (k = 1) where
-    |step| T <= GL_SPAN, the plain difference (k = 0) elsewhere."""
-    small = (np.abs(step) * t_max <= GL_SPAN)[:, None]
-    x = step[:, None] * np.where(small, _GL_X, _DIFFERENCE_X)
-    w = np.where(small, step[:, None] * _GL_W, _DIFFERENCE_W)
-    return x, w, small[:, 0].astype(int)
+def _single_difference(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """g(y + b) - g(y), g(x) = sin(x)/x: plain for a long step b.  For a
+    short one, -2 int_0^1 sin(b s/2) sin((y + b/2) s) ds where the base y is
+    near zero, and elsewhere, where neither y nor y + b is near zero, the
+    one-step product form [2y cos(y + b/2) sin(b/2) - b sin y] / (y (y + b))."""
+    short, near = np.abs(b) <= GL_SPAN, np.abs(y) <= BASE_SPAN
+    half = 0.5 * b
+    mid = y + half
+    rule = -2.0 * (np.sin(np.multiply.outer(half, _GL_X))
+                   * np.sin(np.multiply.outer(mid, _GL_X))) @ _GL_W
+    product = ((2.0 * y * np.cos(mid) * np.sin(half) - b * np.sin(y))
+               / np.where(short & ~near, y * (y + b), 1.0))
+    g = _plain_kernel(np.concatenate((y + b, y)), 1.0)
+    return np.where(short, np.where(near, rule, product), g[: y.size] - g[y.size :])
 
 
-def _mixed_difference(u0: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-                      t_max: float) -> np.ndarray:
+def _near_difference(u0: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                     t_max: float) -> np.ndarray:
     """F(u0+alpha+beta) - F(u0+alpha) - F(u0+beta) + F(u0), F(u) = sin(uT)/u,
-    without a pole: each of the two differences is a Gauss-Legendre
-    integral of a derivative of F when its step is short (so a short step
-    loses nothing to cancellation) and a plain difference when it is long."""
-    xa, wa, ka = _difference_rule(alpha, t_max)
-    xb, wb, kb = _difference_rule(beta, t_max)
-    order = (ka + kb)[:, None, None]
-    x = (u0[:, None, None] + xa[:, :, None] + xb[:, None, :]) * t_max
-    values = _sinc_derivative(x, order) * t_max ** (order + 1.0)
-    return ((wa[:, :, None] * wb[:, None, :]) * values).sum(axis=(1, 2))
+    without a pole.  With both steps short, F(u) = int_0^T cos(u tau) dtau
+    turns it into -4 int_0^T sin(alpha tau/2) sin(beta tau/2)
+    cos((u0 + (alpha+beta)/2) tau) dtau, which has no pole and cancels
+    nothing.  Otherwise it is the difference of two `_single_difference`s
+    along the shorter step, at the two bases that the longer one joins."""
+    a, b, x = alpha * t_max, beta * t_max, u0 * t_max
+    a2, b2 = 0.5 * a, 0.5 * b
+    sa, sb, c = (np.multiply.outer(v, _GL_X) for v in (a2, b2, x + a2 + b2))  # at the nodes
+    values = -4.0 * (np.sin(sa) * np.sin(sb) * np.cos(c)) @ _GL_W
+    long = np.flatnonzero(np.maximum(np.abs(a), np.abs(b)) > GL_SPAN)
+    if long.size:
+        a, b, x = a[long], b[long], x[long]
+        swap = np.abs(b) > np.abs(a)
+        longer, shorter = np.where(swap, b, a), np.where(swap, a, b)
+        diff = _single_difference(np.concatenate((x + longer, x)),
+                                  np.concatenate((shorter, shorter)))
+        values[long] = diff[: long.size] - diff[long.size :]
+    return values * t_max
 
 
 class _Chunk(NamedTuple):
@@ -225,21 +220,20 @@ class _PairKernels:
     a = b is kept apart.  The pair weights g_a g_b are folded into the
     tables sin(u0 T), cos(u0 T) and sin(u0 T) / u0, so a kernel comes out
     weighted.  Per map: these tables, the diagonal of every radius, and the
-    static pairs (|u0| T < POLE_SPAN, near a pole at every radius), which go
-    to the pole-free evaluation for every radius at once.  Per block of
-    radii: the tables of delta, written twice over along the modes and read
-    through a Hankel view, so that mode (c + d) mod m of row d is column
-    c + d.  Per tile, a block of radii times a chunk of whole offset rows,
-    at most max(TILE, m) entries: two copies, the products, the mask of
-    dynamic poles and the fold.  Mode a of a row is the table itself and
-    mode b the table moved by d, so each side of a tile is one copy of a
-    broadcast or of the Hankel view, with no gather, and all arithmetic runs
-    on the contiguous copies.  Along row d, (a - b) mod N is N - d while
-    c + d < m and m - d after it, so the diff fold adds two run sums per
-    row: a weighted `bincount` of every entry would add to one bin m times
-    in a serial chain.  Every tile-sized array lives in a workspace
-    allocated once per map: allocating fresh arrays of that size per
-    operation costs more than the arithmetic on them.
+    pole-free evaluation of every entry that a tile flagged as near a pole.
+    Per block of radii: the tables of delta, written twice over along the
+    modes and read through a Hankel view, so that mode (c + d) mod m of row
+    d is column c + d.  Per tile, a block of radii times a chunk of whole
+    offset rows, at most max(TILE, m) entries: two copies, the products, the
+    pole mask and the fold.  Mode a of a row is the table itself and mode b
+    the table moved by d, so each side of a tile is one copy of a broadcast
+    or of the Hankel view, with no gather, and all arithmetic runs on the
+    contiguous copies.  Along row d, (a - b) mod N is N - d while c + d < m
+    and m - d after it, so the diff fold adds two run sums per row: a
+    weighted `bincount` of every entry would add to one bin m times in a
+    serial chain.  Every tile-sized array lives in a workspace allocated once
+    per map: allocating fresh arrays of that size per operation costs more
+    than the arithmetic on them.
     """
 
     def __init__(self, nodes: int, lam_ref: np.ndarray, t_max: float, radii: int):
@@ -255,9 +249,12 @@ class _PairKernels:
         self.weights = g[self.ia] * g[self.ib]
         self.diag_weights = 0.5 * g * g
         self.u0 = u0 = lam_ref[self.ia] - lam_ref[self.ib]
-        self.static = np.flatnonzero(np.abs(u0) * t_max < POLE_SPAN)
-        self.sin, self.cos, self.sin_u0 = (self.weights * v for v in (
-            np.sin(u0 * t_max), np.cos(u0 * t_max), _plain_kernel(u0, t_max)))
+        self.abs_u0 = np.abs(u0)
+        x = u0 * t_max
+        self.sin, self.cos = self.weights * np.sin(x), self.weights * np.cos(x)
+        # `_plain_kernel` of u0, on the same sine
+        self.sin_u0 = np.divide(self.sin, u0, out=t_max * self.weights,
+                                where=self.abs_u0 > DEGENERACY_TOL)
         per = max(1, TILE // m)  # offset rows per chunk
         chunk = min(size, per * m)
         self.rows = max(1, min(TILE // chunk, radii))
@@ -281,45 +278,43 @@ class _PairKernels:
         for lo in range(0, offsets, per):
             hi = min(lo + per, offsets)
             c = slice(lo * m, min(hi * m, size))
-            static, r = (v[slice(*v.searchsorted((c.start, c.stop)))] for v in (self.static, runs))
+            r = runs[slice(*runs.searchsorted((c.start, c.stop)))]
             self.chunks.append((_Chunk(c, slice(lo + 1, min(hi, full) + 1), hi > full),
-                                static - c.start, r - c.start, start + diff[r], start + total[c]))
+                                r - c.start, start + diff[r], start + total[c]))
 
     def map(self, diagonal, second, off_diagonal, near, shifts: np.ndarray) -> np.ndarray:
         """sum_ab c_a(s) c_b(s) K_ab for every row of shifts and every
         target s, with K given by diagonal(shifts), by off_diagonal(tables,
         chunk), which takes the `tables` of a block with second(delta T) and
         returns weighted entries with a mask of those near a pole, and by
-        near(shifts, rows, pairs), which evaluates the masked entries and the
-        static pairs, unweighted, once per map."""
+        near(shifts, rows, pairs), which evaluates the masked entries,
+        unweighted, once per map."""
         radii = shifts.shape[0]
         h = np.zeros((radii, self.nodes))
         start = self.nodes * np.arange(radii)[:, None]
         _accumulate(h, diagonal(shifts) * self.diag_weights, *(start + b for b in self.diag_bins))
-        flagged = [(np.repeat(np.arange(radii), self.static.size), np.tile(self.static, radii))]
+        flagged = []
         for r in range(0, radii, self.rows):
             block, hist = shifts[r : r + self.rows], h[r : r + self.rows]
             n = block.shape[0]
             tables = self.tables(block, second)
-            for chunk, static, runs, diff, total in self.chunks:
+            for chunk, runs, diff, total in self.chunks:
                 values, poles = off_diagonal(tables, chunk)
-                values[:, static] = 0.0
-                poles[:, static] = False
-                if poles.any():
-                    rows, pairs = np.nonzero(poles)
-                    values[rows, pairs] = 0.0
+                flat = np.flatnonzero(poles)  # a 2-D np.nonzero takes ten times as long
+                if flat.size:
+                    np.put(values, flat, 0.0)
+                    rows, pairs = np.divmod(flat, poles.shape[1])
                     flagged.append((rows + r, pairs + chunk.pairs.start))
                 _accumulate(hist, np.add.reduceat(values, runs, axis=1), diff[:n])
                 _accumulate(hist, values, total[:n])
-        rows, pairs = (np.concatenate(i) for i in zip(*flagged))
-        order = np.lexsort((pairs, rows))  # the fold's order does not depend on `static`
-        rows, pairs = rows[order], pairs[order]
-        # a near-pole entry costs up to 36 evaluations: keep each batch a tile
-        step = max(1, TILE // _GL_X.size**2)
-        for i in range(0, rows.size, step):
-            r, p = rows[i : i + step], pairs[i : i + step]
-            diff, total = (b[p] + self.nodes * r for b in self.bins)
-            _accumulate(h, near(shifts, r, p) * self.weights[p], diff, total)
+        if flagged:
+            rows, pairs = (np.concatenate(i) for i in zip(*flagged))
+            # a near-pole entry costs twelve evaluations: keep each batch a tile
+            step = max(1, TILE // _GL_X.size)
+            for i in range(0, rows.size, step):
+                r, p = rows[i : i + step], pairs[i : i + step]
+                diff, total = (b[p] + self.nodes * r for b in self.bins)
+                _accumulate(h, near(shifts, r, p) * self.weights[p], diff, total)
         return np.fft.rfft(h, axis=1).real
 
     def reference(self) -> np.ndarray:
@@ -396,7 +391,8 @@ class _PairKernels:
         - K(ref, lam), by the product rule of the module docstring:
         u3 K = A1b X - A2b Q + delta_a (P - delta_b S/u0) / u2
                + delta_b (Q - delta_a S/u0) / u1,
-        X = S A1a + C A2a, Q = C A1a - S A2a, P = C A1b + S A2b."""
+        X = S A1a + C A2a, Q = C A1a - S A2a, P = C A1b + S A2b.  The mask
+        flags every entry with one of u0..u3 near a pole."""
         da, db, a1a, a1b, a2a, a2b, u1, u2, u3, x, p, q, tmp = self._tile(tables, chunk)
         u0, s, c, q0 = (v[chunk.pairs] for v in (self.u0, self.sin, self.cos, self.sin_u0))
         np.add(u0, da, out=u1)
@@ -421,11 +417,12 @@ class _PairKernels:
         x /= u3
         np.minimum(np.abs(u1, out=u1), np.abs(u2, out=u2), out=u1)
         np.minimum(u1, np.abs(u3, out=u3), out=u1)
+        np.minimum(u1, self.abs_u0[chunk.pairs], out=u1)
         return x, u1 < POLE_SPAN / self.t_max
 
     def error_near(self, shifts: np.ndarray, rows, pairs) -> np.ndarray:
-        return _mixed_difference(self.u0[pairs], shifts[rows, self.ia[pairs]],
-                                 -shifts[rows, self.ib[pairs]], self.t_max)
+        return _near_difference(self.u0[pairs], shifts[rows, self.ia[pairs]],
+                                -shifts[rows, self.ib[pairs]], self.t_max)
 
 
 def _one_minus_cos(x: np.ndarray) -> np.ndarray:
@@ -443,7 +440,7 @@ def _accumulate(hist: np.ndarray, values: np.ndarray, *bins) -> None:
 
 def _finite(values: np.ndarray) -> np.ndarray:
     """`values`, refused when the window integrals overflowed to inf or nan."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("window integrals are not finite: t_max too large for this spectrum")
     return values
 
@@ -468,16 +465,18 @@ def _mode_errors(
     with np.errstate(all="ignore"):
         pairs = _PairKernels(nodes, lam_ref, t_max, shifts.shape[0])
         den = _finite(pairs.reference())
-        # a target the reference never reaches shows as the rounding of its
-        # form, up to about modes * eps * T (|K| <= T, weights summing to 1)
-        if np.any(den <= pairs.modes * np.finfo(float).eps * t_max):
+        # a form rounds by up to about modes * eps * T (|K| <= T, weights
+        # summing to 1): a target the reference never reaches shows as a
+        # den that small, and an exactly zero error as a num of either sign
+        bound = pairs.modes * np.finfo(float).eps * t_max
+        if (den <= bound).any():
             raise ValueError("degenerate window: reference amplitude has no power")
         num = _finite(pairs.map(pairs.error_diagonal, _one_minus_cos, pairs.error,
                                 pairs.error_near, shifts))
-    if np.any(num < 0.0):
+    if (num < -bound).any():
         raise ValueError("negative truncation-error power: the window integrals "
                          "lost their precision")
-    return _finite(np.sqrt(num / den))
+    return np.sqrt(np.maximum(num, 0.0) / den)
 
 
 def probability_map(

@@ -57,8 +57,7 @@ def mode_count(nodes: int) -> int:
 
 def wave_numbers(nodes: int) -> np.ndarray:
     """p_m = 2 pi (m-1) / N for the retained modes m = 1..mode_count."""
-    m = np.arange(1, mode_count(nodes) + 1)
-    return 2.0 * np.pi * (m - 1) / nodes
+    return 2.0 * np.pi * np.arange(mode_count(nodes)) / nodes
 
 
 def mode_multiplicities(nodes: int) -> np.ndarray:
@@ -74,7 +73,7 @@ def mode_multiplicities(nodes: int) -> np.ndarray:
 def _checked(values: np.ndarray) -> np.ndarray:
     """`values`, refused when an eigenvalue overflowed or is so large that
     the difference of two of them would."""
-    if not np.all(np.abs(values) <= _MAX_EIGENVALUE):
+    if not np.abs(values).max() <= _MAX_EIGENVALUE:
         raise ValueError("couplings too large: the eigenvalues of this profile overflow")
     return values
 
@@ -88,12 +87,11 @@ def _eigenvalue_terms(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
         raise ValueError(
             f"profile has {len(profile)} couplings but neighbors={spec.neighbors}"
         )
-    j = np.arange(1, spec.neighbors + 1)
-    ratios = np.asarray(profile.ratios[: spec.neighbors])
-    terms = 2.0 * ratios[:, None] * np.cos(np.outer(j, wave_numbers(spec.nodes)))
+    twice = 2.0 * np.array(profile.ratios[: spec.neighbors])
     if 2 * spec.neighbors == spec.nodes:
-        terms[-1] *= 0.5
-    return terms
+        twice[-1] *= 0.5
+    j = np.arange(1, spec.neighbors + 1)
+    return twice[:, None] * np.cos(np.multiply.outer(j, wave_numbers(spec.nodes)))
 
 
 def eigenvalue_table(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
@@ -116,9 +114,10 @@ def eigenvalue_shifts(spec: ChainSpec, profile: CouplingProfile) -> tuple[np.nda
     the eigenvalues still shifts them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        tails = _checked(np.cumsum(_eigenvalue_terms(spec, profile)[::-1], axis=0)[::-1])
-    shifts = np.zeros_like(tails)
-    shifts[:-1] = -tails[1:]
+        tails = _checked(_eigenvalue_terms(spec, profile)[::-1].cumsum(axis=0)[::-1])
+    shifts = np.empty_like(tails)
+    np.negative(tails[1:], out=shifts[:-1])
+    shifts[-1] = 0.0
     return tails[0], shifts
 
 

@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from ringspin import metrics
 from ringspin.chain import ChainSpec, CouplingProfile, dipolar_ratios, max_neighbors
+from ringspin.cli import main
 from ringspin.metrics import (
     MIN_T_MAX,
     TimeWindow,
@@ -15,7 +17,7 @@ from ringspin.metrics import (
     independent_targets,
     probability_map,
 )
-from ringspin.metrics import (_mixed_difference, _mode_errors, _one_minus_cos, _PairKernels,
+from ringspin.metrics import (GL_SPAN, _mode_errors, _one_minus_cos, _PairKernels,
                               _plain_kernel)
 from ringspin.oracle import simpson_integral
 from ringspin.spectral import (amplitude, eigenvalue_shifts, eigenvalue_table, mode_count,
@@ -311,8 +313,13 @@ def exact_maps(nodes: int, ratios, t_max: float, targets, digits: int = 50):
                      for a, d in enumerate(x - y for x, y in zip(lam, ref))}
             k_cross = kernel(lam, ref, cross)
             num = k_lam + k_ref - k_cross - k_cross.T
-            errors.append([float((coef[s] @ num @ coef[s] / den[s]).sqrt()) if den[s] else math.nan
-                           for s in targets])
+            # an exactly zero power rounds to either sign, by up to about
+            # modes^2 T 10^-digits: read a power that small as 0
+            floor = modes * modes * td * ctx.power(10, -digits)
+            powers = [coef[s] @ num @ coef[s] for s in targets]
+            powers = [decimal.Decimal(0) if abs(p) <= floor else p for p in powers]
+            errors.append([float((p / den[s]).sqrt()) if den[s] else math.nan
+                           for p, s in zip(powers, targets)])
     return np.array(probs), np.array(errors)
 
 
@@ -400,15 +407,28 @@ def four_term_sum(u0, alpha, beta, t_max):
 
 def pair_kernel(u0, alpha, beta, t_max):
     """The error kernel of one pair as the maps compute it: the product form
-    of a two-mode spectrum, or its fallback where the pair is near a pole:
-    flagged by the tile mask or, with |u0| T small, static at every radius."""
+    of a two-mode spectrum, or its pole-free evaluation where the tile mask
+    flags the pair as near a pole."""
     pairs = _PairKernels(3, np.array([u0, 0.0]), t_max, 1)
     shifts = np.array([[alpha, -beta]])
     with np.errstate(all="ignore"):
         values, near = pairs.error(pairs.tables(shifts, _one_minus_cos), pairs.chunks[0][0])
-    if near[0, 0] or pairs.static.size:
+    if near[0, 0]:
         return pairs.error_near(shifts, np.array([0]), np.array([0]))[0], True
     return values[0, 0] / pairs.weights[0], False
+
+
+def exact_four_term_sum(u0, alpha, beta, t_max):
+    """F(u0+alpha+beta) - F(u0+alpha) - F(u0+beta) + F(u0), F(u) = sin(uT)/u,
+    summed with 50 digits from the given doubles."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        t, u, a, b = (mpmath.mpf(v) for v in (t_max, u0, alpha, beta))
+
+        def f(v):
+            return t if v == 0 else mpmath.sin(v * t) / v
+
+        return float(f(u + a + b) - f(u + a) - f(u + b) + f(u))
 
 
 class TestNearPoleKernel:
@@ -441,15 +461,72 @@ class TestNearPoleKernel:
         t = 50.0
         # u0 = 0: the mixed difference is F(a+b) - F(a) - F(b) + F(0)
         direct, _ = four_term_sum(0.0, 0.3, -0.2, t)
-        assert _mixed_difference(np.array([0.0]), np.array([0.3]), np.array([-0.2]), t)[0] \
-            == pytest.approx(direct, rel=1e-12)
+        value, flagged = pair_kernel(0.0, 0.3, -0.2, t)
+        assert flagged and value == pytest.approx(direct, rel=1e-12)
         # a zero step gives exactly zero, whatever u0
-        assert _mixed_difference(np.array([1e-9]), np.array([0.0]), np.array([0.4]), t)[0] == 0.0
+        assert pair_kernel(1e-9, 0.0, 0.4, t) == (0.0, True)
         # short steps: alpha beta F''(u0) to leading order
         a = b = 1e-9
         expected = a * b * t**3 * (-1.0 / 3.0)
-        assert _mixed_difference(np.array([0.0]), np.array([a]), np.array([b]), t)[0] \
-            == pytest.approx(expected, rel=1e-6)
+        value, flagged = pair_kernel(0.0, a, b, t)
+        assert flagged and value == pytest.approx(expected, rel=1e-6)
+
+    T = 40.0
+    SHORT, LONG = 0.999999 * GL_SPAN / T, 1.000001 * GL_SPAN / T  # just below, just above
+
+    @pytest.mark.parametrize("u0, alpha, beta", [
+        (0.3 / T, SHORT, -SHORT), (0.0, SHORT, 0.5 / T), (-SHORT, SHORT, 0.7 / T),
+        (1e-9 / T, 1e-8 / T, -3e-8 / T), (0.2 / T, -SHORT, -SHORT)],
+        ids=["just-below", "u0-zero", "u1-zero", "tiny-steps", "u3-far"])
+    def test_both_steps_short(self, u0, alpha, beta):
+        """The twelve-node rule on the pole-free integrand, to rounding of
+        |alpha beta| T^3."""
+        value, flagged = pair_kernel(u0, alpha, beta, self.T)
+        assert flagged
+        exact = exact_four_term_sum(u0, alpha, beta, self.T)
+        assert value == pytest.approx(exact, rel=0.0, abs=4e-16 * abs(alpha * beta) * self.T**3)
+
+    @pytest.mark.parametrize("u0, alpha, beta", [
+        (0.5 / T, LONG, 0.3 / T), (0.5 / T, -0.3 / T, -LONG), (3.0 / T - LONG, LONG, -0.4 / T),
+        (0.0, 9.0 / T, 1.5 / T), (-0.25 / T, 0.25 / T - 3.0 / T, SHORT)],
+        ids=["just-above", "beta-long", "base-at-3/T", "u0-zero", "u1-at-3/T"])
+    def test_one_step_long(self, u0, alpha, beta):
+        """Two single differences along the short step, to rounding of
+        |short step| T^2 times the long step's |step| T."""
+        value, flagged = pair_kernel(u0, alpha, beta, self.T)
+        assert flagged
+        exact = exact_four_term_sum(u0, alpha, beta, self.T)
+        short, long = sorted((abs(alpha), abs(beta)))
+        assert value == pytest.approx(exact, rel=0.0, abs=4e-16 * short * long * self.T**3)
+
+    @pytest.mark.parametrize("u0, alpha, beta", [
+        (0.0, LONG, -LONG), (0.3 / T, -0.3 / T + LONG, -LONG), (0.0, 7.0 / T, 25.0 / T)],
+        ids=["just-above", "u1-near", "u0-zero"])
+    def test_both_steps_long(self, u0, alpha, beta):
+        """The four-term sum, to rounding of T times the steps' |step| T."""
+        value, flagged = pair_kernel(u0, alpha, beta, self.T)
+        assert flagged
+        exact = exact_four_term_sum(u0, alpha, beta, self.T)
+        assert value == pytest.approx(exact, rel=0.0,
+                                      abs=4e-16 * self.T * (abs(alpha) + abs(beta)) * self.T)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.5 / T), (-0.5 / T, 0.0), (0.0, 30.0 / T),
+                                             (30.0 / T, 0.0), (0.0, 0.0)])
+    def test_zero_step_gives_zero(self, alpha, beta):
+        for u0 in (0.0, 0.4 / self.T, -0.9 / self.T):
+            assert pair_kernel(u0, alpha, beta, self.T) == (0.0, True)
+
+    def test_rule_is_gauss_legendre(self):
+        """The hard-coded twelve-node rule on [0, 1] is numpy's, to the
+        rounding of numpy's weights, and integrates x^k exactly for k <= 23."""
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = leggauss(12)
+        np.testing.assert_allclose(metrics._GL_X, 0.5 + 0.5 * x, rtol=0.0, atol=1e-16)
+        np.testing.assert_allclose(metrics._GL_W, 0.5 * w, rtol=0.0, atol=4e-16)
+        k = np.arange(24)
+        np.testing.assert_allclose(metrics._GL_W @ metrics._GL_X[:, None] ** k, 1.0 / (k + 1),
+                                   rtol=0.0, atol=1e-16)
 
 
 class TestCancellationFree:
@@ -485,6 +562,26 @@ class TestCancellationFree:
         with pytest.raises(ValueError, match="negative"):
             error_map(8, dipolar_ratios(8), TimeWindow(8.0))
 
+    @pytest.mark.parametrize("t_max", [12.0, 3.6])
+    def test_exactly_zero_errors_are_mapped(self, tmp_path, capsys, t_max):
+        """Targets 2 and 6 of this ring have exactly zero error at radii 1
+        and 2 (50-digit oracle), and their numerators round to +-1.4e-30 at
+        T = 12 and to -5.6e-17 at T = 3.6: within the form's rounding bound,
+        so `jmap` maps them, at 1e-7 or less, instead of refusing the map."""
+        couplings = (1.0, 0.0, -0.5, 0.0, 0.0, 0.0)
+        path = tmp_path / "profile.txt"
+        path.write_text("".join(f"{c!r}\n" for c in couplings))
+        assert main(["jmap", "--n", "12", "--t-max", repr(t_max), "--profile", f"custom:{path}",
+                     "--format", "json"]) == 0
+        rows = next(iter(json.loads(capsys.readouterr().out).values()))["rows"]
+        errors = np.array([row[2] for row in rows]).reshape(6, 7)
+        _, exact = exact_maps(12, couplings, t_max, independent_targets(12))
+        zero = exact <= 1e-20  # the oracle's own rounding reaches about 1e-25
+        assert np.all(zero[2:])  # no coupling beyond radius 3
+        assert [np.flatnonzero(row).tolist() for row in zero[:2]] == [[1, 5], [1, 5]]
+        assert np.all(errors[zero] <= 1e-7)
+        np.testing.assert_allclose(errors[~zero], exact[~zero], rtol=1e-10, atol=0.0)
+
     @pytest.mark.parametrize("t_max", [3.0, 10.0])
     def test_unreachable_target_is_refused(self, t_max):
         """Target 6 of this ring has exactly zero reference power; at T = 10
@@ -496,7 +593,7 @@ class TestCancellationFree:
 
 
 # couplings on a coarse grid whose reference spectrum has exactly degenerate
-# pairs: static at every radius, so the per-chunk static indices are used
+# pairs: near a pole at every radius, so every tile flags entries
 DEGENERATE_PROFILE = CouplingProfile((1.0, 1.0, 0.5, 0.0, 0.5, 1.0, 0.0, 0.0))
 
 
@@ -521,7 +618,7 @@ class TestTilePartition:
             "degenerate16"])
     def test_maps_do_not_depend_on_the_tiling(self, monkeypatch, nodes, profile):
         """TILE sets the offset rows per chunk, the rows per block and the
-        chunk holding each static pair; from one offset row per tile to the
+        chunk holding each degenerate pair; from one offset row per tile to the
         whole pair list in one chunk, the maps stay the same."""
         window = TimeWindow.matched(nodes)
         errors, _ = error_map(nodes, profile, window)
@@ -542,9 +639,15 @@ class TestTilePartition:
             assert half_rows == {(False, False)}
 
     def test_degenerate_profile_has_static_pairs(self):
-        lam_ref, _ = eigenvalue_shifts(ChainSpec.all_neighbors(16), DEGENERATE_PROFILE)
-        pairs = _PairKernels(16, lam_ref, 16.0, 1)
-        assert np.any(pairs.u0[pairs.static] == 0.0)
+        """Pairs with an exactly degenerate reference are flagged near a
+        pole at every radius."""
+        lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(16), DEGENERATE_PROFILE)
+        pairs = _PairKernels(16, lam_ref, 16.0, shifts.shape[0])
+        static = pairs.u0 == 0.0
+        assert np.any(static) and len(pairs.chunks) == 1
+        with np.errstate(all="ignore"):
+            _, near = pairs.error(pairs.tables(shifts, _one_minus_cos), pairs.chunks[0][0])
+        assert np.all(near[:, static])
 
 
 class TestPairOrder:
@@ -579,8 +682,7 @@ class TestPairOrder:
         with several rows per block (one chunk) or several chunks per row."""
         monkeypatch.setattr(metrics, "TILE", tile)
         m, radii = mode_count(nodes), 9
-        pairs = _PairKernels(nodes, 10.0 * np.arange(m), 1.0, radii)  # no static pairs
-        assert pairs.static.size == 0
+        pairs = _PairKernels(nodes, 10.0 * np.arange(m), 1.0, radii)
         assert pairs.rows > 1 if len(pairs.chunks) == 1 else pairs.rows == 1
         values = np.random.default_rng(nodes).standard_normal((radii, pairs.ia.size))
         shifts = np.repeat(np.arange(radii, dtype=float)[:, None], m, axis=1)
