@@ -43,7 +43,10 @@ the class of its steps (`_near_difference`): with both steps short, as
 one pole-free integral that a twelve-node Gauss-Legendre rule takes to
 rounding, and otherwise as two single differences along the shorter step.
 The probability kernel sin(u3 T) / u3 comes from the same tables by angle
-addition.
+addition.  Where modes swap frequencies, the pairs cancel each other only
+to rounding; an error whose numerator is within rounding is read as exactly
+0 where both amplitudes carry the same coefficient on every frequency
+(`_same_amplitudes`).
 
 Cost: per map, the N^2/2 sines and cosines of u0 T, the diagonal of every
 radius, and the near-pole entries, a few dozen at the paper's lengths, in
@@ -73,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import ChainSpec, CouplingProfile, max_neighbors
-from .spectral import eigenvalue_shifts, mode_count, mode_multiplicities
+from .spectral import eigenvalue_shifts, mode_count, mode_multiplicities, wave_numbers
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -457,6 +460,49 @@ def _mode_probabilities(
     return _finite(np.maximum(forms, 0.0) / t_max)
 
 
+def _same_amplitudes(nodes: int, lam_ref: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Mask (rows of shifts, targets) of the amplitudes that equal the
+    reference amplitude term by term once equal frequencies are merged: the
+    coefficients of every frequency of lam_ref + shifts and of lam_ref add
+    up to the same sum.  Their error is exactly 0, which the product rule
+    cannot show when modes swap frequencies: its pairs then cancel each
+    other only to rounding.
+
+    A sum of nf terms 2 d_j cos(p j) rounds by at most about
+    nf eps sum_j 2|d_j| <= 2 nf^1.5 eps rms, rms = sqrt(sum_m g_m x_m^2) of
+    the summed row x, which by Parseval bounds the couplings' l2 norm.  So
+    frequencies of different modes that close are merged, and a shift that
+    small reads as 0.  A row where a shift above its rounding still leaves
+    a mode within merging distance of its own reference frequency, as the
+    tiny shifts of fast-decaying couplings do, is left unmasked."""
+    m = lam_ref.size
+    g = mode_multiplicities(nodes) / nodes
+    eps = np.finfo(float).eps
+    rounding = 8.0 * max_neighbors(nodes) ** 1.5 * eps
+    coef = g[:, None] * np.cos(np.multiply.outer(wave_numbers(nodes), np.arange(m)))
+    signed = np.concatenate((coef, -coef))
+    small = 4.0 * m * eps * g.max()  # a coefficient sum that reads as 0
+    # every row's frequencies, shifted then reference, and their groups
+    moved = np.abs(shifts) > rounding * np.sqrt(shifts**2 @ g)[:, None]
+    freq = np.concatenate((lam_ref + np.where(moved, shifts, 0.0),
+                           np.broadcast_to(lam_ref, shifts.shape)), axis=1)
+    order = np.argsort(freq, axis=1)
+    gaps = np.diff(np.take_along_axis(freq, order, axis=1), axis=1, prepend=-np.inf)
+    new = gaps > rounding * math.sqrt(g @ lam_ref**2)  # starts a group
+    group, alone = np.empty_like(order), np.empty_like(new)
+    np.put_along_axis(group, order, np.cumsum(new, axis=1), axis=1)
+    # a frequency alone in its group keeps its own coefficients (the first
+    # sorted entry always starts a group, so the roll closes the last one)
+    np.put_along_axis(alone, order, new & np.roll(new, -1, axis=1), axis=1)
+    open_rows = ~((group[:, :m] == group[:, m:]) & moved).any(axis=1)
+    possible = (alone.astype(float) @ (np.abs(signed) > small).astype(float)) == 0.0
+    same = np.zeros((shifts.shape[0], m), dtype=bool)
+    for r in np.flatnonzero(open_rows & possible.any(axis=1)):
+        sums = np.add.reduceat(signed[order[r]], np.flatnonzero(new[r]), axis=0)
+        same[r] = (np.abs(sums) <= small).all(axis=0)
+    return same
+
+
 def _mode_errors(
     nodes: int, lam_ref: np.ndarray, shifts: np.ndarray, t_max: float
 ) -> np.ndarray:
@@ -476,7 +522,13 @@ def _mode_errors(
     if (num < -bound).any():
         raise ValueError("negative truncation-error power: the window integrals "
                          "lost their precision")
-    return np.sqrt(np.maximum(num, 0.0) / den)
+    errors = np.sqrt(np.maximum(num, 0.0) / den)
+    # an exactly zero error shows as a num within rounding: test those rows
+    rows = np.flatnonzero((num <= bound).any(axis=1))
+    if rows.size:
+        zero = (num[rows] <= bound) & _same_amplitudes(nodes, lam_ref, shifts[rows])
+        errors[rows] = np.where(zero, 0.0, errors[rows])
+    return errors
 
 
 def probability_map(

@@ -298,9 +298,16 @@ def exact_maps(nodes: int, ratios, t_max: float, targets, digits: int = 50):
                 out[a, a] = value
             return out
 
+        # an exactly zero power rounds to either sign, by up to about
+        # modes^2 T 10^-digits: read a power that small as 0
+        floor = modes * modes * td * ctx.power(10, -digits)
+
+        def power(p):
+            return decimal.Decimal(0) if abs(p) <= floor else p
+
         ref = lams[-1]
         k_ref = kernel(ref, ref)
-        den = {s: coef[s] @ k_ref @ coef[s] for s in targets}
+        den = {s: power(coef[s] @ k_ref @ coef[s]) for s in targets}
         probs, errors = [], []
         for lam in lams:
             k_lam = kernel(lam, lam)
@@ -313,11 +320,7 @@ def exact_maps(nodes: int, ratios, t_max: float, targets, digits: int = 50):
                      for a, d in enumerate(x - y for x, y in zip(lam, ref))}
             k_cross = kernel(lam, ref, cross)
             num = k_lam + k_ref - k_cross - k_cross.T
-            # an exactly zero power rounds to either sign, by up to about
-            # modes^2 T 10^-digits: read a power that small as 0
-            floor = modes * modes * td * ctx.power(10, -digits)
-            powers = [coef[s] @ num @ coef[s] for s in targets]
-            powers = [decimal.Decimal(0) if abs(p) <= floor else p for p in powers]
+            powers = [power(coef[s] @ num @ coef[s]) for s in targets]
             errors.append([float((p / den[s]).sqrt()) if den[s] else math.nan
                            for p, s in zip(powers, targets)])
     return np.array(probs), np.array(errors)
@@ -567,7 +570,7 @@ class TestCancellationFree:
         """Targets 2 and 6 of this ring have exactly zero error at radii 1
         and 2 (50-digit oracle), and their numerators round to +-1.4e-30 at
         T = 12 and to -5.6e-17 at T = 3.6: within the form's rounding bound,
-        so `jmap` maps them, at 1e-7 or less, instead of refusing the map."""
+        so `jmap` maps them, as exact zeros, instead of refusing the map."""
         couplings = (1.0, 0.0, -0.5, 0.0, 0.0, 0.0)
         path = tmp_path / "profile.txt"
         path.write_text("".join(f"{c!r}\n" for c in couplings))
@@ -579,8 +582,28 @@ class TestCancellationFree:
         zero = exact <= 1e-20  # the oracle's own rounding reaches about 1e-25
         assert np.all(zero[2:])  # no coupling beyond radius 3
         assert [np.flatnonzero(row).tolist() for row in zero[:2]] == [[1, 5], [1, 5]]
-        assert np.all(errors[zero] <= 1e-7)
+        assert np.all(errors[zero] == 0.0)
         np.testing.assert_allclose(errors[~zero], exact[~zero], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("nodes, couplings", [
+        (6, (1.0, 0.0, -1.0)),
+        (12, (1.0, -1.0, 0.5, -0.5, 0.0, 1.0)),
+        (12, (1.0, 0.0, -0.5, 0.0, 0.0, 0.0)),
+    ])
+    @pytest.mark.parametrize("factor", [0.3, 1.0, 2.7])
+    def test_swapped_frequencies_give_exact_zeros(self, nodes, couplings, factor):
+        """On these rings a truncated spectrum swaps frequencies between
+        modes of equal coefficients, or shifts a mode by a sum that is 0
+        but rounds to 1e-16, so some errors are exactly 0 (50-digit
+        oracle).  The product rule leaves residues up to 5e-8 there: the
+        maps read exact zeros, and every other error to 1e-10."""
+        window = TimeWindow(factor * nodes)
+        _, exact = exact_maps(nodes, couplings, window.t_max, independent_targets(nodes))
+        errors, _ = error_map(nodes, CouplingProfile(couplings), window)
+        zero = exact[:-1] == 0.0
+        assert zero.any()
+        assert np.all(errors[:-1][zero] == 0.0)
+        np.testing.assert_allclose(errors, exact, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("t_max", [3.0, 10.0])
     def test_unreachable_target_is_refused(self, t_max):
