@@ -6,7 +6,10 @@ production path: they are an independent route to the closed-form spectrum
 and the exact window integrals.  Each `check_*` compares the two routes and
 returns a `Check`, the worst deviation with its tolerance.
 `validation_checks` is the suite that `ringspin validate` prints; the
-acceptance tests assert the same checks.
+acceptance tests assert the same checks.  The eigen and propagator checks
+work on stacks: `dense_eigen` takes every radius of a ring in one LAPACK
+call, and `evolve` and `expm_propagate` take the states of all three times
+of a generator at once, one tau per time.
 
 The quadrature check samples the amplitudes themselves on a uniform grid
 and sums their powers with the Simpson weights.  The phases of a grid of S
@@ -25,8 +28,8 @@ import numpy as np
 
 from .chain import ChainSpec, build_matrix, dipolar_ratios, max_neighbors
 from .metrics import TimeWindow, error_map, independent_targets, probability_map
-from .spectral import (_checked_states, amplitude, eigenvalue_table, evolve,
-                       mode_multiplicities, pair_mode_weights)
+from .spectral import (_checked_states, _checked_tau, amplitude, eigenvalue_table,
+                       evolve, mode_multiplicities, pair_mode_weights)
 
 __all__ = ["Check", "DenseEigenResult", "check_eigen", "check_perfect_transfer",
            "check_propagator", "check_quadrature", "dense_eigen", "expm_propagate",
@@ -43,36 +46,43 @@ GROUP_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DenseEigenResult:
-    values: np.ndarray    # ascending
-    vectors: np.ndarray   # orthogonal, column i pairs with values[i]
+    values: np.ndarray    # (..., N), ascending along the last axis
+    vectors: np.ndarray   # (..., N, N), orthogonal, column i pairs with values[..., i]
 
 
 def dense_eigen(matrix) -> DenseEigenResult:
-    """Full decomposition of a real symmetric matrix (LAPACK path),
-    eigenvalues sorted ascending."""
+    """Full decomposition of a real symmetric matrix, or of each matrix of a
+    stack (..., N, N), in one LAPACK call; eigenvalues ascend.  A non-square,
+    oversize, non-finite or non-symmetric matrix is refused before LAPACK."""
     A = np.asarray(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
-    if A.shape[0] > MAX_EIGEN_SIZE:
+    if A.shape[-1] > MAX_EIGEN_SIZE:
         raise ValueError(f"oracle limited to {MAX_EIGEN_SIZE}x{MAX_EIGEN_SIZE}")
-    scale = max(float(np.abs(A).max()), 1.0)
-    if float(np.abs(A - A.T).max()) > 1e-12 * scale:
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
+    scale = np.maximum(np.abs(A).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(A - A.swapaxes(-2, -1)).max(axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("matrix is not symmetric")
     values, vectors = np.linalg.eigh(A)
     return DenseEigenResult(values=values, vectors=vectors)
 
 
-def expm_propagate(matrix, initial, tau: float) -> np.ndarray:
+def expm_propagate(matrix, initial, tau) -> np.ndarray:
     """exp(-i G tau) on each state stacked along the leading axes of `initial`
     (sites last), via the dense decomposition of G.  `matrix` is G itself or
-    its `DenseEigenResult`, so that one decomposition serves many stacks."""
+    its unstacked `DenseEigenResult`, so that one decomposition serves many
+    stacks.  `tau`, finite, is a scalar or broadcasts against those axes."""
     eig = matrix if isinstance(matrix, DenseEigenResult) else None
-    size = eig.values.size if eig else np.shape(matrix)[0]
-    if size > MAX_PROPAGATE_SIZE:
+    shape = eig.vectors.shape if eig else np.shape(matrix)
+    if len(shape) != 2:
+        raise ValueError(f"expm_propagate takes one generator, not a stack: got shape {shape}")
+    if shape[-1] > MAX_PROPAGATE_SIZE:
         raise ValueError(f"oracle limited to {MAX_PROPAGATE_SIZE} sites")
-    v = _checked_states(initial, size)
+    v = _checked_states(initial, shape[-1])
+    t = _checked_tau(tau)[..., None]
     eig = eig or dense_eigen(matrix)
-    return ((v @ eig.vectors) * np.exp(-1j * eig.values * float(tau))) @ eig.vectors.T
+    return ((v @ eig.vectors) * np.exp(-1j * eig.values * t)) @ eig.vectors.T
 
 
 def _simpson_weights(count: int, t_max: float) -> np.ndarray:
@@ -109,13 +119,16 @@ class Check:
         return self.deviation <= self.tolerance
 
 
-def _eigenspaces(values) -> np.ndarray:
-    """Indicator matrix (values x eigenspaces): values closer than GROUP_TOL
-    to a neighbour share an eigenspace; eigenspaces ascend in eigenvalue."""
-    order = np.argsort(values)
-    space = np.empty(len(order), dtype=int)
-    space[order] = np.concatenate(([0], np.cumsum(np.diff(np.asarray(values)[order]) > GROUP_TOL)))
-    return (space[:, None] == np.arange(space[order[-1]] + 1)).astype(float)
+def _eigenspaces(values) -> tuple[np.ndarray, np.ndarray]:
+    """Indicators (rows, values, eigenspaces), zero-padded to the largest
+    count, and each row's eigenspace count: values closer than GROUP_TOL to a
+    neighbour share an eigenspace; eigenspaces ascend in eigenvalue."""
+    ordered = np.sort(values, axis=-1)
+    gaps = np.diff(ordered) > GROUP_TOL
+    # the eigenspace of a value is the number of gaps that end at or below it
+    space = np.sum(gaps[:, None, :] & (ordered[:, None, 1:] <= values[..., None]), axis=-1)
+    counts = gaps.sum(axis=-1) + 1
+    return (space[..., None] == np.arange(counts.max())).astype(float), counts
 
 
 def check_eigen() -> tuple[Check, Check]:
@@ -125,18 +138,21 @@ def check_eigen() -> tuple[Check, Check]:
     worst_val = worst_proj = 0.0
     for nodes in range(3, 17):
         profile = dipolar_ratios(nodes)
+        full = ChainSpec.all_neighbors(nodes)
+        table = eigenvalue_table(full, profile)  # (radii, modes)
         sites = np.arange(1, nodes + 1)
-        modes = pair_mode_weights(nodes, sites[:, None], sites[None, :])  # P_m, (N, N, modes)
-        mult = mode_multiplicities(nodes)
-        for m, lam in enumerate(eigenvalue_table(ChainSpec.all_neighbors(nodes), profile), 1):
-            oracle = dense_eigen(build_matrix(ChainSpec(nodes, m), profile))
-            worst_val = max(worst_val, float(np.abs(np.sort(np.repeat(lam, mult))
-                                                    - oracle.values).max()))
-            closed = modes @ _eigenspaces(lam)
-            V = oracle.vectors
-            brute = (V[:, None, :] * V[None, :, :]) @ _eigenspaces(oracle.values)
-            worst_proj = max(worst_proj, float(np.abs(closed - brute).max())
-                             if closed.shape == brute.shape else math.inf)
+        shift = np.abs(sites[:, None] - sites)
+        # the generator of radius M is the full one with cyclic distances beyond M zeroed
+        within = np.minimum(shift, nodes - shift) <= np.arange(1, len(table) + 1)[:, None, None]
+        oracle = dense_eigen(np.where(within, build_matrix(full, profile), 0.0))
+        closed_values = np.sort(np.repeat(table, mode_multiplicities(nodes), axis=1), axis=1)
+        worst_val = max(worst_val, float(np.abs(closed_values - oracle.values).max()))
+        (closed, closed_counts), (brute, brute_counts) = map(_eigenspaces, (table, oracle.values))
+        P = pair_mode_weights(nodes, sites[:, None], sites).reshape(nodes**2, -1)
+        V = oracle.vectors
+        VV = (V[:, :, None, :] * V[:, None, :, :]).reshape(len(V), nodes**2, nodes)
+        worst_proj = max(worst_proj, float(np.abs(P @ closed - VV @ brute).max())
+                         if np.array_equal(closed_counts, brute_counts) else math.inf)
     return (
         Check("eigenvalues closed form vs dense solver", worst_val, 1e-10),
         Check("degenerate projectors closed form vs dense solver", worst_proj, 1e-8),
@@ -147,20 +163,20 @@ def check_propagator() -> Check:
     """Closed-form propagation of 20 random normalized states vs the matrix
     exponential on dipolar rings of both parities, at the smallest and the
     largest radius and tau in {0.1, 1, N}; each generator is decomposed
-    once, and the 20 states of a case propagate as one stack."""
+    once, and its (3 taus, 20 states) stack propagates in one call per route."""
     rng = np.random.default_rng(20260810)
     worst = 0.0
     for nodes in (4, 5, 8, 11, 12):
         profile = dipolar_ratios(nodes)
+        tau = np.array([[0.1], [1.0], [float(nodes)]])  # broadcasts over the 20 states
         for m in (1, max_neighbors(nodes)):
             spec = ChainSpec(nodes, m)
             eig = dense_eigen(build_matrix(spec, profile))
-            for tau in (0.1, 1.0, float(nodes)):
-                parts = rng.normal(size=(20, 2, nodes))
-                v = parts[:, 0] + 1j * parts[:, 1]
-                v /= np.linalg.norm(v, axis=-1, keepdims=True)
-                dev = np.abs(evolve(spec, profile, v, tau) - expm_propagate(eig, v, tau))
-                worst = max(worst, float(dev.max()))
+            parts = rng.normal(size=(3, 20, 2, nodes))
+            v = parts[:, :, 0] + 1j * parts[:, :, 1]
+            v /= np.linalg.norm(v, axis=-1, keepdims=True)
+            dev = np.abs(evolve(spec, profile, v, tau) - expm_propagate(eig, v, tau))
+            worst = max(worst, float(dev.max()))
     return Check("propagator closed form vs matrix exponential", worst, 1e-8)
 
 
@@ -196,7 +212,8 @@ def _power_integral(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.n
 def check_quadrature(step: float, sizes) -> Check:
     """Probability and truncation-error maps vs composite Simpson with the
     given step, on dipolar rings of each size at T = N.  The amplitudes of a
-    radius are W @ exp(-i lam_M (x) grid), W the weights of pairs (1, target)."""
+    radius are W @ exp(-i lam_M (x) grid), W the weights of pairs (1, target).
+    The full radius, the reference, is sampled once and has error exactly 0."""
     if not (math.isfinite(step) and step > 0.0 and max(sizes) / step + 2 <= MAX_QUAD_SAMPLES):
         raise ValueError(f"quadrature step must be positive, finite and need at most "
                          f"{MAX_QUAD_SAMPLES} samples, got {step!r}")
@@ -215,7 +232,9 @@ def check_quadrature(step: float, sizes) -> Check:
         den = _power_integral(ref_re, ref_im, weights)
         probs = probability_map(nodes, profile, window)
         errors, _ = error_map(nodes, profile, window)
-        for lam, prob_row, error_row in zip(table, probs, errors):
+        worst = max(worst, float(np.abs(den / t_max - probs[-1]).max()),
+                    float(np.abs(errors[-1]).max()))
+        for lam, prob_row, error_row in zip(table[:-1], probs, errors):
             re, im = _sampled_amplitudes(W, lam, count, h)
             quad_prob = _power_integral(re, im, weights)
             re -= ref_re

@@ -158,11 +158,16 @@ def amplitude(spec: ChainSpec, profile: CouplingProfile, j: int, k: int, tau):
     """
     w = pair_mode_weights(spec.nodes, j, k)
     lam = mode_eigenvalues(spec, profile)
+    phases = np.exp(-1j * np.multiply.outer(_checked_tau(tau), lam))
+    return phases @ w
+
+
+def _checked_tau(tau) -> np.ndarray:
+    """`tau` as a float array, refused unless every entry is finite."""
     t = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("tau must be finite")
-    phases = np.exp(-1j * np.multiply.outer(t, lam))
-    return phases @ w
+    return t
 
 
 def _checked_states(initial, nodes: int) -> np.ndarray:
@@ -180,13 +185,14 @@ def _checked_states(initial, nodes: int) -> np.ndarray:
     return v
 
 
-def evolve(spec: ChainSpec, profile: CouplingProfile, initial, tau: float) -> np.ndarray:
+def evolve(spec: ChainSpec, profile: CouplingProfile, initial, tau) -> np.ndarray:
     """Propagate one-excitation states by dimensionless time tau.
 
     `initial` stacks unit-norm length-N states on its leading axes (one state
-    is a stack of one); the result, of its shape, is ifft(exp(-i lam_q tau)
+    is a stack of one) and `tau`, finite, is a scalar or broadcasts against
+    those axes.  The result, of the broadcast shape, is ifft(exp(-i lam_q tau)
     fft(state)) along the last axis, unitary to rounding.
     """
     v = _checked_states(initial, spec.nodes)
-    phases = np.exp(eigenvalues(spec, profile) * (-1j * float(tau)))
+    phases = np.exp(eigenvalues(spec, profile) * (-1j * _checked_tau(tau)[..., None]))
     return np.fft.ifft(phases * np.fft.fft(v))

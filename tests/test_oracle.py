@@ -7,7 +7,8 @@ from ringspin import oracle
 from ringspin.chain import ChainSpec, build_matrix, dipolar_ratios, max_neighbors
 from ringspin.metrics import independent_targets
 from ringspin.oracle import dense_eigen, expm_propagate, simpson_integral
-from ringspin.spectral import amplitude, eigenvalues, mode_eigenvalues, pair_mode_weights
+from ringspin.spectral import (amplitude, eigenvalue_table, eigenvalues, mode_eigenvalues,
+                               pair_mode_weights)
 
 HALF_SQRT2 = 2.0**-1.5
 
@@ -50,6 +51,47 @@ class TestDenseEigen:
             dense_eigen(np.zeros((3, 4)))
         with pytest.raises(ValueError):
             dense_eigen(np.zeros((257, 257)))
+        with pytest.raises(ValueError):
+            dense_eigen(np.zeros(3))
+
+    def test_rejects_nonfinite_before_lapack(self):
+        # a NaN passes the symmetry test, and LAPACK then fails to converge
+        with pytest.raises(ValueError, match="finite"):
+            dense_eigen(np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="finite"):
+            dense_eigen(np.diag([1.0, np.inf, 2.0]))
+        stack = np.stack([np.eye(4)] * 3)
+        stack[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            dense_eigen(stack)
+
+    def test_stack_refuses_one_nonsymmetric_matrix(self):
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 0, 1] = 0.5
+        with pytest.raises(ValueError, match="not symmetric"):
+            dense_eigen(stack)
+
+    def test_stack_matches_each_matrix(self):
+        nodes = 12
+        profile = dipolar_ratios(nodes)
+        stack = np.stack([build_matrix(ChainSpec(nodes, m), profile)
+                          for m in range(1, max_neighbors(nodes) + 1)])
+        stack = np.stack([stack, 2.0 * stack[::-1]])  # (2, radii, N, N)
+        result = dense_eigen(stack)
+        assert result.values.shape == stack.shape[:-1]
+        assert result.vectors.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-2]):
+            single = dense_eigen(stack[index])
+            np.testing.assert_allclose(result.values[index], single.values, rtol=0, atol=1e-13)
+            # eigenvectors of a degenerate eigenvalue are fixed only up to a
+            # rotation, so compare the projector onto each eigenspace
+            spaces, counts = oracle._eigenspaces(single.values[None])
+            for space in spaces[0].T[: counts[0]]:
+                columns = space.astype(bool)
+                stacked = result.vectors[index][:, columns]
+                alone = single.vectors[:, columns]
+                np.testing.assert_allclose(stacked @ stacked.T, alone @ alone.T,
+                                           rtol=0, atol=1e-12)
 
 
 class TestExpmPropagate:
@@ -89,9 +131,10 @@ class TestExpmPropagate:
     def test_check_propagator_decomposes_each_generator_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(oracle, "dense_eigen",
-                            lambda matrix: calls.append(1) or dense_eigen(matrix))
+                            lambda matrix: calls.append(np.shape(matrix)) or dense_eigen(matrix))
         assert oracle.check_propagator().passed
-        assert len(calls) == 10  # five rings, two radii each
+        # five rings, two radii each, one generator per call
+        assert calls == [(n, n) for n in (4, 5, 8, 11, 12) for _ in range(2)]
 
     def test_check_propagator_propagates_each_case_as_one_stack(self, monkeypatch):
         shapes = {"evolve": [], "expm_propagate": []}
@@ -105,9 +148,38 @@ class TestExpmPropagate:
         monkeypatch.setattr(oracle, "evolve", recording("evolve", oracle.evolve))
         monkeypatch.setattr(oracle, "expm_propagate", recording("expm_propagate", expm_propagate))
         assert oracle.check_propagator().passed
-        # five rings, two radii each, three times each; one stack of 20 states per case
-        assert [len(seen) for seen in shapes.values()] == [30, 30]
-        assert all(shape[0] == 20 for seen in shapes.values() for shape in seen)
+        # five rings, two radii each; one (3 taus, 20 states) stack per generator
+        expected = [(3, 20, n) for n in (4, 5, 8, 11, 12) for _ in range(2)]
+        assert shapes == {"evolve": expected, "expm_propagate": expected}
+
+    def test_array_tau_matches_tau_by_tau(self):
+        eig = dense_eigen(build_matrix(ChainSpec(11, 5), dipolar_ratios(11)))
+        rng = np.random.default_rng(37)
+        stack = rng.normal(size=(3, 4, 11)) + 1j * rng.normal(size=(3, 4, 11))
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        taus = np.array([[0.1], [1.0], [11.0]])  # one time per row of states
+        out = expm_propagate(eig, stack, taus)
+        assert out.shape == stack.shape
+        for i, tau in enumerate(taus[:, 0]):
+            np.testing.assert_allclose(out[i], expm_propagate(eig, stack[i], tau),
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, [1.0, np.inf]])
+    def test_rejects_nonfinite_tau(self, tau):
+        G = build_matrix(ChainSpec(6, 2), dipolar_ratios(6))
+        uniform = np.full(6, 1.0 / np.sqrt(6), dtype=complex)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            expm_propagate(G, uniform, tau)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            expm_propagate(dense_eigen(G), uniform, tau)
+
+    def test_refuses_stacked_decomposition(self):
+        stack = np.stack([build_matrix(ChainSpec(6, m), dipolar_ratios(6)) for m in (1, 2, 3)])
+        uniform = np.full(6, 1.0 / np.sqrt(6), dtype=complex)
+        with pytest.raises(ValueError, match="not a stack"):
+            expm_propagate(dense_eigen(stack), uniform, 1.0)
+        with pytest.raises(ValueError, match="not a stack"):
+            expm_propagate(stack, uniform, 1.0)
 
     def test_stack_matches_row_by_row(self):
         eig = dense_eigen(build_matrix(ChainSpec(10, 4), dipolar_ratios(10)))
@@ -135,6 +207,49 @@ class TestExpmPropagate:
             expm_propagate(G, np.ones(4, dtype=complex), 1.0)
         with pytest.raises(ValueError):
             expm_propagate(np.zeros((65, 65)), np.zeros(65), 1.0)
+
+
+class TestCheckEigen:
+    def test_decomposes_each_ring_once(self, monkeypatch):
+        shapes = []
+        monkeypatch.setattr(oracle, "dense_eigen",
+                            lambda matrix: shapes.append(np.shape(matrix)) or dense_eigen(matrix))
+        values, projectors = oracle.check_eigen()
+        assert values.passed and projectors.passed
+        # rings N = 3..16, 14 in all; one stack of every radius per ring
+        assert shapes == [(max_neighbors(n), n, n) for n in range(3, 17)]
+
+    def test_stack_holds_the_generator_of_each_radius(self, monkeypatch):
+        stacks = []
+        monkeypatch.setattr(oracle, "dense_eigen",
+                            lambda matrix: stacks.append(matrix) or dense_eigen(matrix))
+        oracle.check_eigen()
+        for nodes, stack in zip(range(3, 17), stacks):
+            for m, matrix in enumerate(stack, 1):
+                np.testing.assert_array_equal(
+                    matrix, build_matrix(ChainSpec(nodes, m), dipolar_ratios(nodes)))
+
+    def test_eigenspace_count_mismatch_is_infinite(self, monkeypatch):
+        def merged(spec, profile):
+            # every mode in one eigenspace at the full radius of rings with
+            # more radii; the other radii keep the largest count, so the
+            # indicator arrays of both routes keep one shape
+            table = eigenvalue_table(spec, profile)
+            if len(table) > 1:
+                table[-1] = table[-1, 0]
+            return table
+
+        monkeypatch.setattr(oracle, "eigenvalue_table", merged)
+        _, projectors = oracle.check_eigen()
+        assert projectors.deviation == math.inf
+        assert not projectors.passed
+
+    def test_eigenspaces_of_rows(self):
+        spaces, counts = oracle._eigenspaces(np.array([[2.0, 0.0, 2.0 + 1e-9, 1.0],
+                                                       [3.0, 3.0, 3.0, 3.0]]))
+        assert counts.tolist() == [3, 1]
+        np.testing.assert_array_equal(spaces[0], [[0, 0, 1], [1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        np.testing.assert_array_equal(spaces[1], [[1, 0, 0]] * 4)  # padded to 3 columns
 
 
 class TestSimpsonIntegral:
@@ -194,6 +309,15 @@ class TestSampledAmplitudes:
             direct = np.array([amplitude(spec, profile, 1, t, grid) for t in targets])
             np.testing.assert_allclose(re, direct.real, rtol=0, atol=1e-13)
             np.testing.assert_allclose(im, direct.imag, rtol=0, atol=1e-13)
+
+    def test_quadrature_check_samples_the_reference_once(self, monkeypatch):
+        calls = []
+        sampler = oracle._sampled_amplitudes
+        monkeypatch.setattr(oracle, "_sampled_amplitudes",
+                            lambda *args: calls.append(1) or sampler(*args))
+        assert oracle.check_quadrature(1e-3, (10, 13)).passed
+        # radii 1..5 and 1..6: each sampled once, the full radius as the reference
+        assert len(calls) == 11
 
     def test_quadrature_check_stays_at_rounding(self):
         # 1.7e-14 with the default step: far inside the 1e-6 tolerance

@@ -296,6 +296,31 @@ class TestEvolve:
         with pytest.raises(ValueError, match="shape"):
             evolve(spec, profile, np.full((4, 5), 1.0 / np.sqrt(5)), 1.0)
 
+    def test_array_tau_matches_tau_by_tau(self):
+        spec = ChainSpec(11, 4)
+        profile = dipolar_ratios(11)
+        rng = np.random.default_rng(31)
+        stack = rng.normal(size=(3, 4, 11)) + 1j * rng.normal(size=(3, 4, 11))
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        taus = np.array([[0.1], [1.0], [11.0]])  # one time per row of states
+        out = evolve(spec, profile, stack, taus)
+        assert out.shape == stack.shape
+        for i, tau in enumerate(taus[:, 0]):
+            np.testing.assert_allclose(out[i], evolve(spec, profile, stack[i], tau),
+                                       rtol=0, atol=1e-15)
+        # one state under several times broadcasts to one row per time
+        out = evolve(spec, profile, stack[0, 0], taus[:, 0])
+        assert out.shape == (3, 11)
+        for i, tau in enumerate(taus[:, 0]):
+            np.testing.assert_allclose(out[i], evolve(spec, profile, stack[0, 0], tau),
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, [1.0, np.nan]])
+    def test_rejects_nonfinite_tau(self, tau):
+        uniform = np.full(6, 1.0 / np.sqrt(6), dtype=complex)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            evolve(ChainSpec(6, 2), dipolar_ratios(6), uniform, tau)
+
     @given(spec=ring_specs(max_nodes=16), tau=st.floats(min_value=0.0, max_value=30.0))
     @settings(max_examples=50)
     def test_output_stays_normalized(self, spec, tau):
