@@ -11,12 +11,17 @@ work on stacks: `dense_eigen` takes every radius of a ring in one LAPACK
 call, and `evolve` and `expm_propagate` take the states of all three times
 of a generator at once, one tau per time.
 
-The quadrature check samples the amplitudes themselves on a uniform grid
-and sums their powers with the Simpson weights.  The phases of a grid of S
-samples split into about sqrt(S) block starts and sqrt(S) in-block offsets,
-so one radius takes cos and sin on small (blocks x modes) and
-(modes x sqrt(S)) tables and gets its samples from matrix products; it holds
-four (targets x samples) arrays at a time.
+The quadrature check applies composite Simpson to the powers of the
+amplitudes sum_a W_a exp(-i lam_a tau) on a uniform grid of S samples, in
+Gram form: no (targets x samples) array is built.  Sample j = b K + k, K
+even and about sqrt(S), has phase Z_ak P_ab, Z_ak = exp(-i lam_a k h) and
+P_ab = exp(-i lam_a b K h), and every block carries the weight row
+w = (2, 4, ..., 2, 4) h/3, so the sum over whole blocks is W Re(G o H) W^T
+with G = Z diag(w) Z^H and H = P P^H, two (modes x modes) Gram matrices.
+Exact corrections from the samples themselves then remove what the block
+pattern gets wrong at the ends: sample 0 and sample S - 1 weigh h/3, not
+2h/3, and the samples past the grid in the last block weigh 0.  A radius
+holds (modes x sqrt(S)) phase tables and (modes x modes) Gram matrices.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ __all__ = ["Check", "DenseEigenResult", "check_eigen", "check_perfect_transfer",
 
 MAX_EIGEN_SIZE = 256
 MAX_PROPAGATE_SIZE = 64
-# samples of one quadrature grid; each (targets x samples) array then stays
-# below about 35 MB up to N = 40, and the block phase tables below 4 MB
+# samples of one quadrature grid; the Simpson sums never hold the samples,
+# only (modes x sqrt(samples)) phase tables, about 0.3 MB each at N = 40
 MAX_QUAD_SAMPLES = 200_000
 # projectors of eigenvalues closer than this are summed into one subspace
 GROUP_TOL = 1e-6
@@ -85,25 +90,28 @@ def expm_propagate(matrix, initial, tau) -> np.ndarray:
     return ((v @ eig.vectors) * np.exp(-1j * eig.values * t)) @ eig.vectors.T
 
 
-def _simpson_weights(count: int, t_max: float) -> np.ndarray:
-    """Weights h/3 (1, 4, 2, 4, ..., 2, 4, 1) of the composite Simpson rule
-    on `count` uniform samples over [0, t_max]; `count` must be odd."""
+def _simpson_step(count: int, t_max: float) -> float:
+    """Step h of the composite Simpson rule on `count` uniform samples over
+    [0, t_max]; `count` must be odd and at least 3."""
     if count < 3 or count % 2 == 0:
-        raise ValueError(f"need an odd sample count >= 3 along the last axis, got {count}")
-    weights = np.full(count, 2.0)
-    weights[1::2] = 4.0
-    weights[[0, -1]] = 1.0
-    return weights * (float(t_max) / (count - 1) / 3.0)
+        raise ValueError(f"need an odd sample count >= 3, got {count}")
+    return float(t_max) / (count - 1)
 
 
 def simpson_integral(samples, t_max: float):
     """Composite Simpson rule for uniform samples of f over [0, t_max] along
-    the last axis: one integral per leading index, a float for 1-D samples.
+    the last axis, weights h/3 (1, 4, 2, 4, ..., 2, 4, 1): one integral per
+    leading index, a float for 1-D samples.
 
     Requires an odd number of samples (even interval count).
     """
     y = np.asarray(samples, dtype=float)
-    return y @ _simpson_weights(y.shape[-1] if y.ndim else 0, t_max)
+    count = y.shape[-1] if y.ndim else 0
+    h = _simpson_step(count, t_max)
+    weights = np.full(count, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    return y @ (weights * (h / 3.0))
 
 
 @dataclass(frozen=True)
@@ -180,43 +188,41 @@ def check_propagator() -> Check:
     return Check("propagator closed form vs matrix exponential", worst, 1e-8)
 
 
-def _sampled_amplitudes(W, lam, count: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Re and Im of W @ exp(-i lam (x) tau) at tau_j = j h, j < count, one row
-    per row of W.  Sample j = i K + k, K about sqrt(count), has the phase of
-    block start i K h plus that of in-block offset k h, so cos and sin are
-    taken on (blocks x modes) and (modes x K) tables only:
-
-        Re = (W cos_start) @ cos_k - (W sin_start) @ sin_k
-        Im = -((W cos_start) @ sin_k + (W sin_start) @ cos_k),
-
-    four real products, paired along the mode axis into two matmuls."""
-    K = math.isqrt(count - 1) + 1
-    start = np.outer(np.arange(0, count, K) * h, lam)  # (blocks, modes)
-    offset = np.outer(lam, np.arange(K) * h)            # (modes, K)
-    left = np.tile(W, 2)[:, None, :] * np.concatenate((np.cos(start), np.sin(start)), axis=1)
-    left = left.reshape(-1, 2 * len(lam))               # (targets * blocks, 2 modes)
-    cos_k, sin_k = np.cos(offset), np.sin(offset)
-    rows = (len(W), -1)
-    re = (left @ np.concatenate((cos_k, -sin_k))).reshape(rows)[:, :count]
-    im = (left @ -np.concatenate((sin_k, cos_k))).reshape(rows)[:, :count]
-    return re, im
-
-
-def _power_integral(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights_j (re_j^2 + im_j^2) per row, with no (rows x samples)
-    temporary."""
-    return (np.einsum("tj,tj,j->t", re, re, weights)
-            + np.einsum("tj,tj,j->t", im, im, weights))
+def _simpson_power(W, lam, count: int, t_max: float) -> np.ndarray:
+    """Composite Simpson sum over tau_j = j h, j < count, of
+    |sum_a W_ta exp(-i lam_a tau_j)|^2 for each row t of the real W, in the
+    Gram form of the module docstring: whole blocks of K samples, K even and
+    about sqrt(count), then the corrections at both ends."""
+    h = _simpson_step(count, t_max)
+    K = (math.isqrt(count) + 1) // 2 * 2
+    w = np.full(K, 2.0 * h / 3.0)
+    w[1::2] = 4.0 * h / 3.0
+    lam = np.asarray(lam)[:, None]
+    Z = np.exp(-1j * lam * (np.arange(K) * h))            # (modes, K)
+    P = np.exp(-1j * lam * (np.arange(0, count, K) * h))  # (modes, blocks)
+    gram = ((Z * w) @ Z.conj().T * (P @ P.conj().T)).real
+    # the block pattern's excess over the Simpson weights: h/3 on sample 0,
+    # whose amplitude is the row sum of W, and on sample count - 1, and all
+    # of w on the samples past the grid, both in the last block
+    last = (W * P[:, -1]) @ Z                             # (targets, K)
+    k0 = (count - 1) % K
+    excess = w * (np.arange(K) > k0)
+    excess[k0] = h / 3.0
+    return (((W @ gram) * W).sum(axis=-1) - W.sum(axis=-1) ** 2 * (h / 3.0)
+            - (last.real**2 + last.imag**2) @ excess)
 
 
 def check_quadrature(step: float, sizes) -> Check:
     """Probability and truncation-error maps vs composite Simpson with the
     given step, on dipolar rings of each size at T = N.  The amplitudes of a
     radius are W @ exp(-i lam_M (x) grid), W the weights of pairs (1, target).
-    The full radius, the reference, is sampled once and has error exactly 0."""
-    if not (math.isfinite(step) and step > 0.0 and max(sizes) / step + 2 <= MAX_QUAD_SAMPLES):
-        raise ValueError(f"quadrature step must be positive, finite and need at most "
-                         f"{MAX_QUAD_SAMPLES} samples, got {step!r}")
+    The full radius, the reference, is summed once and has error exactly 0.
+    A step that leaves a ring no interval is refused."""
+    if not (math.isfinite(step) and step > 0.0 and max(sizes) / step + 2 <= MAX_QUAD_SAMPLES
+            and round(min(sizes) / step) > 0):
+        raise ValueError(f"quadrature step must be positive, finite, below twice the "
+                         f"smallest ring and need at most {MAX_QUAD_SAMPLES} samples, "
+                         f"got {step!r}")
     worst = 0.0
     for nodes in sizes:
         t_max = float(nodes)
@@ -224,24 +230,20 @@ def check_quadrature(step: float, sizes) -> Check:
         profile = dipolar_ratios(nodes)
         intervals = int(round(t_max / step))
         count = intervals + intervals % 2 + 1  # Simpson: an even interval count
-        h = t_max / (count - 1)
         W = pair_mode_weights(nodes, 1, np.array(independent_targets(nodes)))
         table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
-        weights = _simpson_weights(count, t_max)
-        ref_re, ref_im = _sampled_amplitudes(W, table[-1], count, h)
-        den = _power_integral(ref_re, ref_im, weights)
+        den = _simpson_power(W, table[-1], count, t_max)
         probs = probability_map(nodes, profile, window)
         errors, _ = error_map(nodes, profile, window)
         worst = max(worst, float(np.abs(den / t_max - probs[-1]).max()),
                     float(np.abs(errors[-1]).max()))
+        # the amplitude difference p_M - p_ref has modes [lam_M, lam_ref], weights [W, -W]
+        joint = np.hstack((W, -W))
         for lam, prob_row, error_row in zip(table[:-1], probs, errors):
-            re, im = _sampled_amplitudes(W, lam, count, h)
-            quad_prob = _power_integral(re, im, weights)
-            re -= ref_re
-            im -= ref_im
-            quad_err = np.sqrt(_power_integral(re, im, weights) / den)
+            quad_prob = _simpson_power(W, lam, count, t_max)
+            quad_num = _simpson_power(joint, np.concatenate((lam, table[-1])), count, t_max)
             worst = max(worst, float(np.abs(quad_prob / t_max - prob_row).max()),
-                        float(np.abs(quad_err - error_row).max()))
+                        float(np.abs(np.sqrt(quad_num / den) - error_row).max()))
     return Check(f"window integrals vs Simpson (step {step:g})", worst, 1e-6)
 
 

@@ -435,7 +435,7 @@ class TestBadConfig:
         assert captured.out == ""
         assert "negative" in captured.err
 
-    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "1e-12"])
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "1e-12", "100", "20"])
     def test_bad_quadrature_step(self, capsys, step):
         assert run(["validate", f"--quad-step={step}"]) == 2
         captured = capsys.readouterr()

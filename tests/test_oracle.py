@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ringspin import oracle
-from ringspin.chain import ChainSpec, build_matrix, dipolar_ratios, max_neighbors
+from ringspin.chain import (ChainSpec, CouplingProfile, build_matrix, dipolar_ratios,
+                            max_neighbors)
 from ringspin.metrics import independent_targets
 from ringspin.oracle import dense_eigen, expm_propagate, simpson_integral
 from ringspin.spectral import (amplitude, eigenvalue_table, eigenvalues, mode_eigenvalues,
@@ -287,37 +288,77 @@ class TestSimpsonIntegral:
 
 
 class TestSampledAmplitudes:
-    """The block-phase sampler of `check_quadrature` against the direct
-    amplitude on the same grid; sample j = i K + k with K = isqrt(count - 1)
-    + 1 comes from block i and in-block offset k."""
+    """Simpson sums of sampled amplitude powers: the Gram-form
+    `_simpson_power` of `check_quadrature` against `simpson_integral` on
+    amplitudes sampled directly on the same grid.  Blocks hold K =
+    isqrt(count) rounded up to even samples; the last runs past the grid."""
 
-    # 3: two blocks, one sample in the last; 49: seven full blocks of 7;
-    # 48: the last block one short; 50 and 57: blocks of 8, the last one
-    # with 2 and 1 samples; 13001: the N = 13 grid of `validate`
-    @pytest.mark.parametrize("count", [3, 49, 48, 50, 57, 13001])
+    # 3: two blocks of 2, one sample past the grid; 49 and 57: blocks of 8,
+    # the last holding sample count - 1 alone; 63: blocks of 8, the last one
+    # full but for the one sample past the grid; 13001 and 52001: the N = 13
+    # grids of `validate` at steps 1e-3 and 2.5e-4; 48 and 50: even counts,
+    # refused by both routes
+    @pytest.mark.parametrize("count", [3, 49, 48, 50, 57, 63, 13001, 52001])
     @pytest.mark.parametrize("nodes", [10, 13])
     def test_matches_direct_amplitude(self, nodes, count):
-        profile = dipolar_ratios(nodes)
+        self.assert_matches_direct(nodes, dipolar_ratios(nodes), count)
+
+    def test_degenerate_custom_profile(self):
+        # lam = 2 cos p + cos 2p + cos 3p at N = 6: (4, -0.5, -0.5, -2), so
+        # modes 1 and 2 share an eigenvalue at the full radius
+        profile = CouplingProfile((1.0, 0.5, 1.0))
+        lam = mode_eigenvalues(ChainSpec(6, 3), profile)
+        np.testing.assert_allclose(lam, [4.0, -0.5, -0.5, -2.0], rtol=0, atol=1e-15)
+        for count in (49, 6001):
+            self.assert_matches_direct(6, profile, count)
+
+    @staticmethod
+    def assert_matches_direct(nodes, profile, count):
+        """Probability powers at radius 1 and at the full radius, and the
+        powers of the amplitude difference to the full radius below it."""
+        t_max = float(nodes)
         targets = independent_targets(nodes)
         W = pair_mode_weights(nodes, 1, np.array(targets))
-        h = float(nodes) / (count - 1)
-        grid = np.arange(count) * h
-        for m in (1, max_neighbors(nodes)):
+        grid = np.linspace(0.0, t_max, count)
+        full = ChainSpec.all_neighbors(nodes)
+        lam_ref = mode_eigenvalues(full, profile)
+        ref = np.array([amplitude(full, profile, 1, t, grid) for t in targets])
+        for m in (1, full.neighbors - 1, full.neighbors):
             spec = ChainSpec(nodes, m)
-            re, im = oracle._sampled_amplitudes(W, mode_eigenvalues(spec, profile), count, h)
-            assert re.shape == im.shape == (len(targets), count)
+            lam = mode_eigenvalues(spec, profile)
             direct = np.array([amplitude(spec, profile, 1, t, grid) for t in targets])
-            np.testing.assert_allclose(re, direct.real, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(im, direct.imag, rtol=0, atol=1e-13)
+            if count % 2 == 0:
+                with pytest.raises(ValueError, match="odd sample count"):
+                    simpson_integral(np.abs(direct) ** 2, t_max)
+                with pytest.raises(ValueError, match="odd sample count"):
+                    oracle._simpson_power(W, lam, count, t_max)
+                continue
+            np.testing.assert_allclose(oracle._simpson_power(W, lam, count, t_max),
+                                       simpson_integral(np.abs(direct) ** 2, t_max),
+                                       rtol=1e-12, atol=0)
+            if m < full.neighbors:  # the difference to the reference itself is 0
+                joint = oracle._simpson_power(np.hstack((W, -W)), np.r_[lam, lam_ref],
+                                              count, t_max)
+                np.testing.assert_allclose(joint, simpson_integral(np.abs(direct - ref) ** 2,
+                                                                   t_max),
+                                           rtol=1e-12, atol=0)
 
     def test_quadrature_check_samples_the_reference_once(self, monkeypatch):
         calls = []
-        sampler = oracle._sampled_amplitudes
-        monkeypatch.setattr(oracle, "_sampled_amplitudes",
-                            lambda *args: calls.append(1) or sampler(*args))
+        helper = oracle._simpson_power
+        monkeypatch.setattr(oracle, "_simpson_power",
+                            lambda W, lam, *rest: calls.append((W.shape, len(lam)))
+                            or helper(W, lam, *rest))
         assert oracle.check_quadrature(1e-3, (10, 13)).passed
-        # radii 1..5 and 1..6: each sampled once, the full radius as the reference
-        assert len(calls) == 11
+        # per ring: the reference power once, then per radius below it one
+        # probability sum (its n modes) and one error sum (joint modes
+        # [lam_M, lam_ref] with weights [W, -W]); 20 calls in all
+        expected = []
+        for nodes in (10, 13):
+            n = nodes // 2 + 1
+            expected += [((n, n), n)]
+            expected += [((n, n), n), ((n, 2 * n), 2 * n)] * (max_neighbors(nodes) - 1)
+        assert calls == expected
 
     def test_quadrature_check_stays_at_rounding(self):
         # 1.7e-14 with the default step: far inside the 1e-6 tolerance
