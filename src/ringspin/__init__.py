@@ -2,8 +2,8 @@
 
 Closed-form spectral dynamics of a single excitation on an N-node ring with
 couplings truncated at cyclic distance M, exact window-averaged transfer
-metrics, the accuracy threshold of the truncation, and the empirical fit of
-the averaged error curve.
+metrics, the accuracy threshold of the truncation, the exact error of the
+whole evolved state, and the scale of the averaged error curve against it.
 """
 
 from .chain import (
@@ -13,12 +13,7 @@ from .chain import (
     dipolar_ratios,
     max_neighbors,
 )
-from .fitting import (
-    FitParams,
-    decay_model,
-    fit_decay,
-    fit_trends,
-)
+from .fitting import ScaleFit, fit_scale
 from .metrics import (
     ThresholdResult,
     TimeWindow,
@@ -26,6 +21,7 @@ from .metrics import (
     error_map,
     independent_targets,
     probability_map,
+    state_error,
 )
 from .oracle import DenseEigenResult, dense_eigen, expm_propagate, simpson_integral
 from .spectral import amplitude, eigenvalues, evolve
@@ -36,23 +32,22 @@ __all__ = [
     "ChainSpec",
     "CouplingProfile",
     "DenseEigenResult",
-    "FitParams",
+    "ScaleFit",
     "ThresholdResult",
     "TimeWindow",
     "accuracy_threshold",
     "amplitude",
     "build_matrix",
-    "decay_model",
     "dense_eigen",
     "dipolar_ratios",
     "eigenvalues",
     "error_map",
     "evolve",
     "expm_propagate",
-    "fit_decay",
-    "fit_trends",
+    "fit_scale",
     "independent_targets",
     "max_neighbors",
     "probability_map",
     "simpson_integral",
+    "state_error",
 ]

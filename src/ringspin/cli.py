@@ -6,9 +6,9 @@ spectrum    eigenvalue table of one (N, M) model
 probmap     window-averaged transfer probabilities over all (M, target)
 jmap        truncation errors over all (M, target) plus per-M averages
 threshold   minimal accurate truncation radius per chain length, with audit
-fit         decay-curve parameters per chain length, plus the regression
-            slope of each parameter against N (table `trend`) for three or
-            more distinct lengths
+fit         per chain length, the scale kappa of the mean error curve
+            against the exact state-level error E(M) over radii
+            2..max_neighbors-1, and the rms of its residuals
 validate    the `oracle` checks of the closed form; nonzero exit on failure
 
 A table is a name and its columns, one 1-D array or sequence each, and it
@@ -32,13 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainSpec, CouplingProfile, dipolar_ratios, max_neighbors
-from .fitting import fit_decay, fit_trends
+from .fitting import fit_scale
 from .metrics import (
     TimeWindow,
     accuracy_threshold,
     error_map,
     independent_targets,
     probability_map,
+    state_error,
 )
 from .oracle import validation_checks
 from .spectral import mode_eigenvalues, mode_multiplicities, wave_numbers
@@ -184,7 +185,7 @@ def cmd_threshold(args) -> list[Table]:
 
 
 def cmd_fit(args) -> list[Table]:
-    fits = []
+    rows = []
     for nodes in _parse_n_list(args):
         nf = max_neighbors(nodes)
         if nf - 2 < 5:
@@ -192,21 +193,11 @@ def cmd_fit(args) -> list[Table]:
         profile = _parse_profile(args.profile, nodes)
         window = _window(args, nodes)
         _, means = error_map(nodes, profile, window)
-        points = [(m, means[m - 1]) for m in range(2, nf)]
-        fits.append((nodes, fit_decay(points)))
-    stuck = [f"N={n} ({fp.iterations} iterations, condition number {fp.condition_number:.3g})"
-             for n, fp in fits if not fp.converged]
-    if stuck:
-        raise ValueError(f"fit did not converge for {', '.join(stuck)}")
-    fields = ("a", "b", "c", "d", "rms", "converged", "iterations", "condition_number")
-    tables = [Table("fit", {"nodes": [n for n, _ in fits]}
-                    | {f: [getattr(fp, f) for _, fp in fits] for f in fields})]
-    series = dict(fits)
-    if len(series) >= 3:
-        lengths = sorted(series)
-        slopes = fit_trends(lengths, [series[n] for n in lengths])
-        tables.append(Table("trend", {f"slope_{p}": [v] for p, v in slopes.items()}))
-    return tables
+        # radii 2..nf-1: the last radius is the reference, with zero error
+        fit = fit_scale(means[1 : nf - 1], state_error(nodes, profile, window)[1 : nf - 1])
+        rows.append((nodes, window.t_max, 2, nf - 1, fit.kappa, fit.rms))
+    names = ("nodes", "t_max", "first_neighbors", "last_neighbors", "kappa", "rms")
+    return [Table("fit", dict(zip(names, zip(*rows))))]
 
 
 def cmd_validate(args) -> int:
@@ -265,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("fit", parents=[common, multi, windowed],
-                       help="decay-curve parameters per chain length")
+                       help="scale of the mean error curve against E(M) per chain length")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("validate", help="closed form vs brute-force oracles")

@@ -65,6 +65,11 @@ n = 1..max_neighbors+1 are computed; the mode multiplicities weight them
 back to the full-ring average (targets and modes are the same reflection
 orbits of Z_N).  Composite-Simpson quadrature is only a cross-check (see
 `oracle`).
+
+The error of the whole state evolved from site 1 needs no pairs: summed
+over the targets, the mode pairs a != b cancel by orthogonality and only the
+diagonal of the error kernel is left, one O(N) sum per radius
+(`state_error`).
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ __all__ = [
     "error_map",
     "independent_targets",
     "probability_map",
+    "state_error",
 ]
 
 # frequencies closer than this are integrated as exactly degenerate
@@ -557,6 +563,22 @@ def error_map(
     errors[:-1] = _mode_errors(nodes, lam_ref, shifts[:-1], window.t_max)
     means = (errors @ mode_multiplicities(nodes)) / nodes
     return errors, means
+
+
+def state_error(nodes: int, profile: CouplingProfile, window: TimeWindow) -> np.ndarray:
+    """Relative L2 error of the whole state evolved from site 1, one per
+    radius M = 1..max_neighbors:
+
+        E(M)^2 = (1/T) int_0^T ||(U_M - U)|1>||^2 dtau
+               = (2/N) sum_a mult_a (1 - sinc(delta_a T)),
+
+    delta the eigenvalue shifts of the radius.  It is the Parseval sum of
+    the map: sum_n mult_n err_n^2 P_ref,n over the independent targets n.
+    """
+    _, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
+    with np.errstate(all="ignore"):
+        power = _finite(_one_minus_sinc(shifts * window.t_max) @ mode_multiplicities(nodes))
+    return np.sqrt(2.0 / nodes * power)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringspin.chain import dipolar_ratios, max_neighbors
 from ringspin.cli import Table, _body, _build_parser, _emit, main
-from ringspin.fitting import fit_decay, fit_trends
-from ringspin.metrics import MIN_T_MAX, TimeWindow, accuracy_threshold, error_map
+from ringspin.fitting import fit_scale
+from ringspin.metrics import MIN_T_MAX, TimeWindow, accuracy_threshold, error_map, state_error
 from ringspin.spectral import mode_multiplicities
 
 HALF_SQRT2 = 2.0**-1.5
 INT_COLUMNS = {"neighbors", "target", "nodes", "min_neighbors", "mode", "multiplicity",
-               "converged", "iterations"}
+               "first_neighbors", "last_neighbors"}
 
 
 INTS = st.integers(-(2**62), 2**62)
@@ -161,48 +161,50 @@ class TestFitCommand:
         out = tmp_path / "fit.csv"
         assert run(["fit", "--n", "20", "--out", str(out)]) == 0
         header, rows = read_csv(out)
-        assert header == ["nodes", "a", "b", "c", "d", "rms",
-                          "converged", "iterations", "condition_number"]
-        assert len(rows) == 1
-        assert float(rows[0][5]) < 0.01
-        fp = fit_decay([(m, v) for m, v in enumerate(
-            error_map(20, dipolar_ratios(20), TimeWindow.matched(20))[1][1:9], start=2)])
-        assert rows[0][6:] == [str(int(fp.converged)), str(fp.iterations),
-                               format(fp.condition_number, ".15g")]
+        assert header == ["nodes", "t_max", "first_neighbors", "last_neighbors", "kappa", "rms"]
+        profile, window = dipolar_ratios(20), TimeWindow.matched(20)
+        fit = fit_scale(error_map(20, profile, window)[1][1:9],
+                        state_error(20, profile, window)[1:9])
+        assert rows == [["20", "20", "2", "9", format(fit.kappa, ".15g"),
+                         format(fit.rms, ".15g")]]
+        assert fit.rms < 0.01
 
-    def test_short_window_fit_runs_clean(self, capsys, tmp_path):
-        """Trial steps that overflow the model are rejected as failed
-        steps, with no RuntimeWarning (an error in this suite); the fits
-        then exhaust their iterations, and a fit that did not converge is
-        refused with exit 2, naming every such length and writing nothing."""
-        out = tmp_path / "fit.csv"
-        assert run(["fit", "--n-list", "46,70", "--t-max", "1", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        assert "did not converge" in captured.err
-        assert "N=46 (200 iterations" in captured.err and "N=70 (200 iterations" in captured.err
+    def test_short_window_fit_runs_clean(self, capsys):
+        """At T = 1 the relative errors of the far targets dwarf the state
+        error, so kappa is far from 1, but the fit is finite, with no
+        RuntimeWarning (an error in this suite)."""
+        assert run(["fit", "--n-list", "46,70", "--t-max", "1", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["fit"]["rows"]
+        assert [row[:4] for row in rows] == [[46, 1.0, 2, 22], [70, 1.0, 2, 34]]
+        assert all(math.isfinite(v) and v > 0.0 for row in rows for v in row[4:])
 
     def test_too_short_chain_is_bad_config(self):
         assert run(["fit", "--n", "8"]) == 2
 
-    def test_trend_table_from_sorted_lengths(self, capsys):
-        assert run(["fit", "--n-list", "36,20,70", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert [row[0] for row in payload["fit"]["rows"]] == [36, 20, 70]
-        lengths, fits = (20, 36, 70), []
-        for nodes in lengths:
-            _, means = error_map(nodes, dipolar_ratios(nodes), TimeWindow.matched(nodes))
-            fits.append(fit_decay([(m, means[m - 1]) for m in range(2, nodes // 2)]))
-        slopes = fit_trends(lengths, fits)
-        assert payload["trend"]["columns"] == ["slope_a", "slope_b", "slope_c", "slope_d"]
-        (row,) = payload["trend"]["rows"]
-        assert row == pytest.approx(list(slopes.values()), rel=1e-12)
-
     @pytest.mark.parametrize("lengths", [["--n", "20"], ["--n-list", "20,36"],
-                                         ["--n-list", "20,36,20"]])
-    def test_no_trend_table_below_three_lengths(self, capsys, lengths):
+                                         ["--n-list", "20,36,20"], ["--n-list", "36,20,70"]])
+    def test_writes_only_the_fit_table(self, capsys, lengths):
         assert run(["fit", *lengths, "--format", "json"]) == 0
-        assert list(json.loads(capsys.readouterr().out)) == ["fit"]
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["fit"]
+        assert [row[0] for row in payload["fit"]["rows"]] == [
+            int(n) for n in lengths[1].split(",")]
+
+    @pytest.mark.parametrize("nodes", [140, 280])
+    def test_large_rings_fit(self, capsys, nodes):
+        assert run(["fit", "--n", str(nodes), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["fit"]["rows"]
+        assert row[:4] == [nodes, float(nodes), 2, nodes // 2 - 1]
+        assert abs(row[4] - 1.0) <= 0.01
+
+    def test_all_zero_error_curve_is_refused(self, tmp_path, capsys):
+        # nearest-neighbour couplings only: every radius reproduces the reference
+        path = tmp_path / "profile.txt"
+        path.write_text("1.0\n" + "0.0\n" * 9)
+        assert run(["fit", "--n", "20", "--profile", f"custom:{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error curve is zero at every fitted radius" in captured.err
 
 
 class TestOutputFormats:

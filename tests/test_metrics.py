@@ -16,12 +16,13 @@ from ringspin.metrics import (
     error_map,
     independent_targets,
     probability_map,
+    state_error,
 )
 from ringspin.metrics import (GL_SPAN, _mode_errors, _one_minus_cos, _PairKernels,
                               _plain_kernel)
 from ringspin.oracle import simpson_integral
-from ringspin.spectral import (amplitude, eigenvalue_shifts, eigenvalue_table, mode_count,
-                               mode_multiplicities, pair_mode_weights)
+from ringspin.spectral import (amplitude, eigenvalue_shifts, eigenvalue_table, evolve,
+                               mode_count, mode_multiplicities, pair_mode_weights)
 
 # (1/T) int_0^T cos^4 tau dtau at T = 4, by the antiderivative
 # 3 tau/8 + sin(2 tau)/4 + sin(4 tau)/32
@@ -375,8 +376,9 @@ class TestHighPrecisionOracle:
 class TestStateSumRule:
     """Parseval for the state evolved from site 1: the error powers of all
     targets, weighted by multiplicity and reference probability, add up to
+    the squared state-level error
 
-        sum_n mult_n err_n^2 P_ref,n = (2/N) sum_a mult_a (1 - sinc(delta_a T)),
+        E(M)^2 = sum_n mult_n err_n^2 P_ref,n = (2/N) sum_a mult_a (1 - sinc(delta_a T)),
 
     delta the eigenvalue shifts of the radius.  The right side needs the
     cancellation-free 1 - sinc: 1 - np.sinc is off by 1.6e-9 at N = 280."""
@@ -393,11 +395,35 @@ class TestStateSumRule:
         mult = mode_multiplicities(nodes)
         errors, _ = error_map(nodes, profile, window)
         p_ref = probability_map(nodes, profile, window)[-1]
-        _, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
         # every radius but the last, where both sides are exactly zero
         left = (errors[:-1] ** 2 * p_ref) @ mult
-        right = 2.0 / nodes * (metrics._one_minus_sinc(shifts[:-1] * window.t_max) @ mult)
+        right = state_error(nodes, profile, window)[:-1] ** 2
         np.testing.assert_allclose(left, right, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("nodes, neighbors, t_max", [(20, 5, 20.0), (21, 3, 40.0),
+                                                        (36, 9, 36.0)])
+    def test_state_error_is_the_window_average(self, nodes, neighbors, t_max):
+        """E(M)^2 = (1/T) int_0^T ||(U_M - U)|1>||^2 dtau, by composite
+        Simpson over `spectral.evolve` on 4001 samples."""
+        profile = dipolar_ratios(nodes)
+        tau = np.linspace(0.0, t_max, 4001)
+        start = np.eye(nodes)[0]
+        gap = (evolve(ChainSpec(nodes, neighbors), profile, start, tau)
+               - evolve(ChainSpec.all_neighbors(nodes), profile, start, tau))
+        power = simpson_integral(np.sum(np.abs(gap) ** 2, axis=-1), t_max) / t_max
+        got = state_error(nodes, profile, TimeWindow(t_max))[neighbors - 1]
+        np.testing.assert_allclose(got**2, power, rtol=1e-12, atol=0.0)
+
+    def test_state_error_is_zero_only_at_the_full_radius(self):
+        errors = state_error(20, dipolar_ratios(20), TimeWindow.matched(20))
+        assert errors.shape == (max_neighbors(20),)
+        assert errors[-1] == 0.0 and (errors[:-1] > 0.0).all()
+
+    def test_state_error_refuses_an_overflowing_window(self):
+        # shifts above 1 make delta * t_max inf, where 1 - sinc would be nan,
+        # as the maps refuse it (`test_window_overflowing_the_kernel`)
+        with pytest.raises(ValueError, match="not finite"):
+            state_error(6, CouplingProfile((1.0, 3.0, 3.0)), TimeWindow(1e308))
 
 
 def four_term_sum(u0, alpha, beta, t_max):
