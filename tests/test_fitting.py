@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringspin.cli import main
 from ringspin.fitting import ScaleFit, fit_scale
 
 CURVE = np.array([0.9, 0.5, 0.26, 0.11, 0.04, 0.013, 0.002])
@@ -60,3 +63,19 @@ class TestFitScale:
         fit, shuffled = fit_scale(means, CURVE), fit_scale(means[perm], CURVE[perm])
         assert shuffled.kappa == pytest.approx(fit.kappa, rel=1e-15)
         assert shuffled.rms == pytest.approx(fit.rms, rel=1e-14)
+
+
+class TestFitDecay:
+    """The fit of a ring's decaying error curve, radii 2..nodes//2 - 1."""
+
+    def test_needs_five_points(self, capsys):
+        for nodes in (12, 13):
+            # four radii, 2..5: too few to fit
+            assert main(["fit", "--n", str(nodes)]) == 2
+            assert "need >= 5 points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes", [14, 15])
+    def test_five_points_fit(self, capsys, nodes):
+        assert main(["fit", "--n", str(nodes), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["fit"]["rows"]
+        assert row[:4] == [nodes, float(nodes), 2, 6]
