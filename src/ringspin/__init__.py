@@ -24,7 +24,7 @@ from .metrics import (
     state_error,
 )
 from .oracle import DenseEigenResult, dense_eigen, expm_propagate, simpson_integral
-from .spectral import amplitude, eigenvalues, evolve
+from .spectral import eigenvalues, evolve
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "ThresholdResult",
     "TimeWindow",
     "accuracy_threshold",
-    "amplitude",
     "build_matrix",
     "dense_eigen",
     "dipolar_ratios",

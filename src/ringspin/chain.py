@@ -58,15 +58,6 @@ class ChainSpec:
                 f"got {self.neighbors}"
             )
 
-    @property
-    def max_neighbors(self) -> int:
-        return max_neighbors(self.nodes)
-
-    @property
-    def untruncated(self) -> bool:
-        """True when every node interacts with every other node."""
-        return self.neighbors == self.max_neighbors
-
     @classmethod
     def all_neighbors(cls, nodes: int) -> "ChainSpec":
         """Spec with the full interaction range (no truncation)."""

@@ -42,7 +42,7 @@ from .metrics import (
     state_error,
 )
 from .oracle import validation_checks
-from .spectral import mode_eigenvalues, mode_multiplicities, wave_numbers
+from .spectral import eigenvalue_shifts, mode_multiplicities, wave_numbers
 
 __all__ = ["entry", "main"]
 
@@ -146,7 +146,7 @@ def cmd_spectrum(args) -> list[Table]:
     mult = mode_multiplicities(nodes)
     return [Table("spectrum", {"mode": np.arange(1, mult.size + 1),
                                "wave_number": wave_numbers(nodes),
-                               "eigenvalue": mode_eigenvalues(spec, profile),
+                               "eigenvalue": eigenvalue_shifts(spec, profile)[0],
                                "multiplicity": mult})]
 
 

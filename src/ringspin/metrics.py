@@ -81,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import ChainSpec, CouplingProfile, max_neighbors
-from .spectral import eigenvalue_shifts, mode_count, mode_multiplicities, wave_numbers
+from .spectral import eigenvalue_shifts, mode_count, mode_multiplicities, pair_mode_weights
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -485,7 +485,7 @@ def _same_amplitudes(nodes: int, lam_ref: np.ndarray, shifts: np.ndarray) -> np.
     g = mode_multiplicities(nodes) / nodes
     eps = np.finfo(float).eps
     rounding = 8.0 * max_neighbors(nodes) ** 1.5 * eps
-    coef = g[:, None] * np.cos(np.multiply.outer(wave_numbers(nodes), np.arange(m)))
+    coef = pair_mode_weights(nodes, 1, np.arange(1, m + 1)).T  # g_a cos(p_a s), s < m
     signed = np.concatenate((coef, -coef))
     small = 4.0 * m * eps * g.max()  # a coefficient sum that reads as 0
     # every row's frequencies, shifted then reference, and their groups

@@ -33,8 +33,8 @@ import numpy as np
 
 from .chain import ChainSpec, build_matrix, dipolar_ratios, max_neighbors
 from .metrics import TimeWindow, error_map, independent_targets, probability_map
-from .spectral import (_checked_states, _checked_tau, amplitude, eigenvalue_table,
-                       evolve, mode_multiplicities, pair_mode_weights)
+from .spectral import (_checked_states, _checked_tau, eigenvalue_shifts, evolve,
+                       mode_multiplicities, pair_mode_weights)
 
 __all__ = ["Check", "DenseEigenResult", "check_eigen", "check_perfect_transfer",
            "check_propagator", "check_quadrature", "dense_eigen", "expm_propagate",
@@ -75,18 +75,17 @@ def dense_eigen(matrix) -> DenseEigenResult:
 
 def expm_propagate(matrix, initial, tau) -> np.ndarray:
     """exp(-i G tau) on each state stacked along the leading axes of `initial`
-    (sites last), via the dense decomposition of G.  `matrix` is G itself or
-    its unstacked `DenseEigenResult`, so that one decomposition serves many
-    stacks.  `tau`, finite, is a scalar or broadcasts against those axes."""
-    eig = matrix if isinstance(matrix, DenseEigenResult) else None
-    shape = eig.vectors.shape if eig else np.shape(matrix)
+    (sites last), via the dense decomposition of the one generator G =
+    `matrix`; a stack of states shares that decomposition.  `tau`, finite,
+    is a scalar or broadcasts against the states' leading axes."""
+    shape = np.shape(matrix)
     if len(shape) != 2:
         raise ValueError(f"expm_propagate takes one generator, not a stack: got shape {shape}")
     if shape[-1] > MAX_PROPAGATE_SIZE:
         raise ValueError(f"oracle limited to {MAX_PROPAGATE_SIZE} sites")
     v = _checked_states(initial, shape[-1])
     t = _checked_tau(tau)[..., None]
-    eig = eig or dense_eigen(matrix)
+    eig = dense_eigen(matrix)
     return ((v @ eig.vectors) * np.exp(-1j * eig.values * t)) @ eig.vectors.T
 
 
@@ -147,7 +146,8 @@ def check_eigen() -> tuple[Check, Check]:
     for nodes in range(3, 17):
         profile = dipolar_ratios(nodes)
         full = ChainSpec.all_neighbors(nodes)
-        table = eigenvalue_table(full, profile)  # (radii, modes)
+        lam_ref, shifts = eigenvalue_shifts(full, profile)
+        table = lam_ref + shifts  # (radii, modes)
         sites = np.arange(1, nodes + 1)
         shift = np.abs(sites[:, None] - sites)
         # the generator of radius M is the full one with cyclic distances beyond M zeroed
@@ -179,11 +179,11 @@ def check_propagator() -> Check:
         tau = np.array([[0.1], [1.0], [float(nodes)]])  # broadcasts over the 20 states
         for m in (1, max_neighbors(nodes)):
             spec = ChainSpec(nodes, m)
-            eig = dense_eigen(build_matrix(spec, profile))
+            G = build_matrix(spec, profile)
             parts = rng.normal(size=(3, 20, 2, nodes))
             v = parts[:, :, 0] + 1j * parts[:, :, 1]
             v /= np.linalg.norm(v, axis=-1, keepdims=True)
-            dev = np.abs(evolve(spec, profile, v, tau) - expm_propagate(eig, v, tau))
+            dev = np.abs(evolve(spec, profile, v, tau) - expm_propagate(G, v, tau))
             worst = max(worst, float(dev.max()))
     return Check("propagator closed form vs matrix exponential", worst, 1e-8)
 
@@ -231,17 +231,17 @@ def check_quadrature(step: float, sizes) -> Check:
         intervals = int(round(t_max / step))
         count = intervals + intervals % 2 + 1  # Simpson: an even interval count
         W = pair_mode_weights(nodes, 1, np.array(independent_targets(nodes)))
-        table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
-        den = _simpson_power(W, table[-1], count, t_max)
+        lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
+        den = _simpson_power(W, lam_ref, count, t_max)
         probs = probability_map(nodes, profile, window)
         errors, _ = error_map(nodes, profile, window)
         worst = max(worst, float(np.abs(den / t_max - probs[-1]).max()),
                     float(np.abs(errors[-1]).max()))
         # the amplitude difference p_M - p_ref has modes [lam_M, lam_ref], weights [W, -W]
         joint = np.hstack((W, -W))
-        for lam, prob_row, error_row in zip(table[:-1], probs, errors):
+        for lam, prob_row, error_row in zip(lam_ref + shifts[:-1], probs, errors):
             quad_prob = _simpson_power(W, lam, count, t_max)
-            quad_num = _simpson_power(joint, np.concatenate((lam, table[-1])), count, t_max)
+            quad_num = _simpson_power(joint, np.concatenate((lam, lam_ref)), count, t_max)
             worst = max(worst, float(np.abs(quad_prob / t_max - prob_row).max()),
                         float(np.abs(np.sqrt(quad_num / den) - error_row).max()))
     return Check(f"window integrals vs Simpson (step {step:g})", worst, 1e-6)
@@ -250,7 +250,7 @@ def check_quadrature(step: float, sizes) -> Check:
 def check_perfect_transfer() -> Check:
     """The nearest-neighbour 4-ring moves the excitation from site 1 to
     site 3 with certainty at tau = pi/2."""
-    p = amplitude(ChainSpec(4, 1), dipolar_ratios(4), 1, 3, np.pi / 2)
+    p = evolve(ChainSpec(4, 1), dipolar_ratios(4), np.eye(4)[0], np.pi / 2)[2]
     return Check("perfect transfer across the 4-ring", abs(abs(p) ** 2 - 1.0), 1e-12)
 
 

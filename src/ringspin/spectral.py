@@ -1,5 +1,5 @@
 """Closed-form spectrum of the circulant block: eigenvalues, eigenspace
-projectors and probability amplitudes.
+projectors and propagation.
 
 A symmetric circulant N x N matrix is diagonalized by plane waves with wave
 numbers p_q = 2 pi q / N, q = 0..N-1.  The waves q and N-q share one
@@ -23,7 +23,8 @@ elements of the propagator sum_m exp(-i lam_m tau) P_m,
 
     p_{jk}(tau) = sum_m w_m(j - k) exp(-i lam_m tau),
 
-real-symmetric in (j, k) and exactly unitary in the closed form.
+real-symmetric in (j, k) and exactly unitary in the closed form: entry k
+of `evolve` on the site state e_j.
 """
 
 from __future__ import annotations
@@ -33,13 +34,10 @@ import numpy as np
 from .chain import ChainSpec, CouplingProfile
 
 __all__ = [
-    "amplitude",
     "eigenvalue_shifts",
-    "eigenvalue_table",
     "eigenvalues",
     "evolve",
     "mode_count",
-    "mode_eigenvalues",
     "mode_multiplicities",
     "pair_mode_weights",
     "wave_numbers",
@@ -94,24 +92,16 @@ def _eigenvalue_terms(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
     return twice[:, None] * np.cos(np.multiply.outer(j, wave_numbers(spec.nodes)))
 
 
-def eigenvalue_table(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
-    """Mode eigenvalues for every truncation radius M = 1..spec.neighbors.
-
-    Row M-1 holds lam_m(M) = 2 sum_{j<=M} d_j cos(p_m j), so the whole table
-    is one cumulative sum over j.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _checked(np.cumsum(_eigenvalue_terms(spec, profile), axis=0))
-
-
 def eigenvalue_shifts(spec: ChainSpec, profile: CouplingProfile) -> tuple[np.ndarray, np.ndarray]:
     """(lam_ref, shifts): the mode eigenvalues at radius spec.neighbors, and
     for every radius M = 1..spec.neighbors the shift lam_m(M) - lam_ref,
     which is minus the sum of the terms beyond M.
 
-    The shifts come from one reverse cumulative sum, never as the difference
-    of two rounded table rows, so a tail of couplings far below one ulp of
-    the eigenvalues still shifts them.
+    Every eigenvalue of the package comes from this one reverse cumulative
+    sum.  Summed tail first, lam_ref stays within eps sum_j |terms| of the
+    exact sum of its terms on dipolar rings N = 3..299.  The shifts are
+    tails of that sum, never the difference of two rounded eigenvalues, so
+    a tail of couplings far below one ulp still shifts them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         tails = _checked(_eigenvalue_terms(spec, profile)[::-1].cumsum(axis=0)[::-1])
@@ -121,16 +111,10 @@ def eigenvalue_shifts(spec: ChainSpec, profile: CouplingProfile) -> tuple[np.nda
     return tails[0], shifts
 
 
-def mode_eigenvalues(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
-    """One eigenvalue per retained mode (length mode_count): the last row
-    of eigenvalue_table."""
-    return eigenvalue_table(spec, profile)[-1]
-
-
 def eigenvalues(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
     """All N eigenvalues in DFT order q = 0..N-1: entry q is the eigenvalue
     of mode min(q, N-q) + 1, the eigenvalue of wave number 2 pi q / N."""
-    lam = mode_eigenvalues(spec, profile)
+    lam = eigenvalue_shifts(spec, profile)[0]
     return np.concatenate((lam, lam[(spec.nodes - 1) // 2 : 0 : -1]))
 
 
@@ -149,17 +133,6 @@ def pair_mode_weights(nodes: int, j, k) -> np.ndarray:
         raise ValueError(f"sites must lie in [1, {nodes}], got ({j}, {k})")
     shift = (j - k)[..., None]
     return mode_multiplicities(nodes) / nodes * np.cos(wave_numbers(nodes) * shift)
-
-
-def amplitude(spec: ChainSpec, profile: CouplingProfile, j: int, k: int, tau):
-    """Probability amplitude p_{jk}(tau) for the transfer j -> k.
-
-    `tau` may be a scalar or an array; the result matches its shape.
-    """
-    w = pair_mode_weights(spec.nodes, j, k)
-    lam = mode_eigenvalues(spec, profile)
-    phases = np.exp(-1j * np.multiply.outer(_checked_tau(tau), lam))
-    return phases @ w
 
 
 def _checked_tau(tau) -> np.ndarray:

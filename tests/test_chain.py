@@ -44,8 +44,6 @@ class TestChainSpec:
     def test_all_neighbors_constructor(self):
         spec = ChainSpec.all_neighbors(70)
         assert spec.neighbors == 35
-        assert spec.untruncated
-        assert not ChainSpec(70, 34).untruncated
 
 
 class TestDipolarRatios:
@@ -128,7 +126,7 @@ class TestBuildMatrix:
         G = build_matrix(spec, profile)
         sums = G.sum(axis=1)
         ratios = profile.ratios
-        if spec.nodes % 2 == 0 and spec.untruncated:
+        if 2 * spec.neighbors == spec.nodes:
             expected = 2.0 * sum(ratios[: spec.neighbors - 1]) + ratios[spec.neighbors - 1]
         else:
             expected = 2.0 * sum(ratios[: spec.neighbors])

@@ -21,8 +21,8 @@ from ringspin.metrics import (
 from ringspin.metrics import (GL_SPAN, _mode_errors, _one_minus_cos, _PairKernels,
                               _plain_kernel)
 from ringspin.oracle import simpson_integral
-from ringspin.spectral import (amplitude, eigenvalue_shifts, eigenvalue_table, evolve,
-                               mode_count, mode_multiplicities, pair_mode_weights)
+from ringspin.spectral import (eigenvalue_shifts, evolve, mode_count, mode_multiplicities,
+                               pair_mode_weights, wave_numbers)
 
 # (1/T) int_0^T cos^4 tau dtau at T = 4, by the antiderivative
 # 3 tau/8 + sin(2 tau)/4 + sin(4 tau)/32
@@ -92,10 +92,11 @@ class TestTruncationError:
         grid = np.linspace(0.0, t_max, int(round(t_max / step)) + 1)
         profile = dipolar_ratios(nodes)
         spec, full = ChainSpec(nodes, 3), ChainSpec.all_neighbors(nodes)
+        site_1 = np.eye(nodes)[0]
+        from_1, ref_from_1 = (evolve(s, profile, site_1, grid) for s in (spec, full))
 
         def simpson_error(target):
-            p = amplitude(spec, profile, 1, target, grid)
-            p_ref = amplitude(full, profile, 1, target, grid)
+            p, p_ref = from_1[:, target - 1], ref_from_1[:, target - 1]
             return math.sqrt(simpson_integral(np.abs(p - p_ref) ** 2, t_max)
                              / simpson_integral(np.abs(p_ref) ** 2, t_max))
 
@@ -111,11 +112,14 @@ class TestTruncationError:
         full = ChainSpec.all_neighbors(nodes)
         errors, _ = error_map(nodes, profile, TimeWindow(t_max))
         columns = mirror_columns(nodes)
+        site_1 = np.eye(nodes)[0]
+        ref_from_1 = evolve(full, profile, site_1, grid)
+        from_1 = {m: evolve(ChainSpec(nodes, m), profile, site_1, grid) for m in (1, 2, 4)}
         for target in range(1, nodes + 1):
-            p_ref = amplitude(full, profile, 1, target, grid)
+            p_ref = ref_from_1[:, target - 1]
             den = simpson_integral(np.abs(p_ref) ** 2, t_max)
             for m in (1, 2, 4):
-                p = amplitude(ChainSpec(nodes, m), profile, 1, target, grid)
+                p = from_1[m][:, target - 1]
                 num = simpson_integral(np.abs(p - p_ref) ** 2, t_max)
                 exact = errors[m - 1, columns[target - 1]]
                 assert exact == pytest.approx(math.sqrt(num / den), abs=1e-6)
@@ -578,8 +582,10 @@ class TestCancellationFree:
         profile = CouplingProfile((1.0, 0.5, 1e-20))
         spec = ChainSpec.all_neighbors(7)
         lam_ref, shifts = eigenvalue_shifts(spec, profile)
-        table = eigenvalue_table(spec, profile)
-        np.testing.assert_allclose(shifts + lam_ref, table, rtol=0.0, atol=1e-15)
+        table = lam_ref + shifts  # lam_m(M) = 2 sum_{j <= M} d_j cos(p_m j)
+        terms = 2.0 * np.array([[1.0], [0.5], [1e-20]]) * np.cos(
+            np.multiply.outer(np.arange(1, 4), wave_numbers(7)))
+        np.testing.assert_allclose(table, np.cumsum(terms, axis=0), rtol=0.0, atol=1e-15)
         assert np.all(table[1] == table[2])
         assert np.all(shifts[1] != 0.0) and np.all(shifts[2] == 0.0)
         errors, _ = error_map(7, profile, TimeWindow(7.0))

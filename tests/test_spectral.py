@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringspin.chain import ChainSpec, CouplingProfile, build_matrix, dipolar_ratios, max_neighbors
+from ringspin.cli import _build_parser
 from ringspin.oracle import expm_propagate
 from ringspin.spectral import (
-    amplitude,
-    eigenvalue_table,
+    _eigenvalue_terms,
+    eigenvalue_shifts,
     eigenvalues,
     evolve,
     mode_count,
-    mode_eigenvalues,
     mode_multiplicities,
     pair_mode_weights,
     wave_numbers,
@@ -24,6 +24,12 @@ def ring_specs(draw, max_nodes=32):
     nodes = draw(st.integers(min_value=3, max_value=max_nodes))
     neighbors = draw(st.integers(min_value=1, max_value=max_neighbors(nodes)))
     return ChainSpec(nodes, neighbors)
+
+
+def site_amplitudes(spec, profile, j: int, tau) -> np.ndarray:
+    """p_jk(tau) for every site k (last axis) and each tau (leading axes):
+    `evolve` on the site state e_j."""
+    return evolve(spec, profile, np.eye(spec.nodes)[j - 1], tau)
 
 
 def projectors(nodes: int) -> np.ndarray:
@@ -111,10 +117,10 @@ class TestEigenvalues:
     @given(ring_specs())
     def test_uniform_mode_is_the_maximum(self, spec):
         profile = dipolar_ratios(spec.nodes)
-        lam = mode_eigenvalues(spec, profile)
+        lam = eigenvalue_shifts(spec, profile)[0]
         assert lam[0] == pytest.approx(lam.max())
         ratios = profile.ratios
-        if spec.nodes % 2 == 0 and spec.untruncated:
+        if 2 * spec.neighbors == spec.nodes:
             expected = 2.0 * sum(ratios[: spec.neighbors - 1]) + ratios[spec.neighbors - 1]
         else:
             expected = 2.0 * sum(ratios[: spec.neighbors])
@@ -122,16 +128,19 @@ class TestEigenvalues:
 
     def test_profile_too_short(self):
         with pytest.raises(ValueError):
-            mode_eigenvalues(ChainSpec(8, 4), CouplingProfile((1.0, 0.5)))
+            eigenvalues(ChainSpec(8, 4), CouplingProfile((1.0, 0.5)))
 
     @pytest.mark.parametrize("nodes", [3, 4, 9, 10, 31, 32])
     def test_table_rows_are_radius_eigenvalues(self, nodes):
+        """lam_ref plus the shift of radius M is the eigenvalue row of M, to
+        rounding: the two add the same terms in different orders."""
         profile = dipolar_ratios(nodes)
-        table = eigenvalue_table(ChainSpec.all_neighbors(nodes), profile)
-        assert table.shape == (max_neighbors(nodes), mode_count(nodes))
+        lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
+        assert shifts.shape == (max_neighbors(nodes), mode_count(nodes))
         for m in range(1, max_neighbors(nodes) + 1):
-            np.testing.assert_array_equal(
-                table[m - 1], mode_eigenvalues(ChainSpec(nodes, m), profile)
+            np.testing.assert_allclose(
+                lam_ref + shifts[m - 1], eigenvalue_shifts(ChainSpec(nodes, m), profile)[0],
+                rtol=0, atol=1e-14,
             )
 
     @given(spec=ring_specs(), far=st.lists(st.floats(-2.0, 2.0), min_size=15, max_size=15))
@@ -149,30 +158,66 @@ class TestEigenvalues:
         """G P_m = lam_m P_m for the dense generator and the closed form, on
         dipolar and arbitrary custom couplings."""
         for profile in (dipolar_ratios(spec.nodes), CouplingProfile((1.0, *far))):
-            assert_diagonalizes(build_matrix(spec, profile), mode_eigenvalues(spec, profile))
+            assert_diagonalizes(build_matrix(spec, profile), eigenvalue_shifts(spec, profile)[0])
 
     @pytest.mark.parametrize("nodes", [33, 47, 48, 63, 64])
     def test_spectral_residual_large_rings(self, nodes):
         profile = dipolar_ratios(nodes)
         for m in range(1, max_neighbors(nodes) + 1):
             spec = ChainSpec(nodes, m)
-            assert_diagonalizes(build_matrix(spec, profile), mode_eigenvalues(spec, profile))
+            assert_diagonalizes(build_matrix(spec, profile), eigenvalue_shifts(spec, profile)[0])
+
+
+class TestSpectrumAccuracy:
+    """Every eigenvalue of `spectrum` is the sum of its float terms
+    2 d_j cos(p_m j) to within 2 eps sum_j |terms|, against a 50-digit
+    mpmath sum of the same terms.  The tail-first sum stays within
+    0.97 eps sum_j |terms| on these rings; a forward sum reaches 8.4."""
+
+    @staticmethod
+    def spectrum_column(*argv) -> np.ndarray:
+        args = _build_parser().parse_args(["spectrum", *argv])
+        (table,) = args.func(args)
+        return np.asarray(table.columns["eigenvalue"])
+
+    @pytest.mark.parametrize("nodes", [10, 13, 20, 36, 70, 71, 140, 280])
+    def test_every_radius_within_two_eps_of_exact_sum(self, nodes):
+        mpmath = pytest.importorskip("mpmath")
+        # the terms of radius M < N/2 are the first M rows of the full
+        # radius's; only the even ring's opposite-node row differs
+        terms = _eigenvalue_terms(ChainSpec.all_neighbors(nodes), dipolar_ratios(nodes))
+        with mpmath.workdps(50):
+            exact = np.array([[float(s) for s in np.cumsum([mpmath.mpf(x) for x in column])]
+                              for column in terms.T]).T
+        bound = 2.0 * np.finfo(float).eps * np.cumsum(np.abs(terms), axis=0)
+        for m in range(1, max_neighbors(nodes) + 1):
+            lam = self.spectrum_column("--n", str(nodes), "--m", str(m))
+            assert np.all(np.abs(lam - exact[m - 1]) <= bound[m - 1]), (nodes, m)
+
+    @pytest.mark.parametrize("nodes", [10, 13, 70, 71, 280])
+    def test_full_radius_is_the_maps_reference(self, nodes):
+        profile = dipolar_ratios(nodes)
+        lam_ref, _ = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
+        np.testing.assert_array_equal(self.spectrum_column("--n", str(nodes)), lam_ref)
 
 
 class TestAmplitude:
+    """Transfer amplitudes p_jk(tau), read from `evolve` on site states."""
+
     def test_identity_at_time_zero(self):
         spec = ChainSpec(7, 2)
         profile = dipolar_ratios(7)
         for j, k in ((1, 1), (3, 3), (1, 4)):
             expected = 1.0 if j == k else 0.0
-            assert amplitude(spec, profile, j, k, 0.0) == pytest.approx(expected, abs=1e-14)
+            assert site_amplitudes(spec, profile, j, 0.0)[k - 1] == pytest.approx(expected,
+                                                                                abs=1e-14)
 
     def test_square_ring_return_amplitude(self):
         # p_11(tau) = cos^2 tau on the nearest-neighbor 4-ring
         spec = ChainSpec(4, 1)
         profile = dipolar_ratios(4)
         taus = np.linspace(0.0, 3.0, 7)
-        p = amplitude(spec, profile, 1, 1, taus)
+        p = site_amplitudes(spec, profile, 1, taus)[:, 0]
         np.testing.assert_allclose(p, np.cos(taus) ** 2, atol=1e-12)
 
     def test_square_ring_transfer_amplitude(self):
@@ -180,25 +225,17 @@ class TestAmplitude:
         spec = ChainSpec(4, 1)
         profile = dipolar_ratios(4)
         taus = np.linspace(0.0, 3.0, 7)
-        p = amplitude(spec, profile, 1, 3, taus)
+        p = site_amplitudes(spec, profile, 1, taus)[:, 2]
         np.testing.assert_allclose(p, -np.sin(taus) ** 2, atol=1e-12)
-        assert abs(amplitude(spec, profile, 1, 3, np.pi / 2)) ** 2 == pytest.approx(1.0, abs=1e-12)
-        assert abs(amplitude(spec, profile, 1, 1, np.pi / 2)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_site_bounds(self):
-        spec = ChainSpec(5, 1)
-        profile = dipolar_ratios(5)
-        with pytest.raises(ValueError):
-            amplitude(spec, profile, 0, 1, 0.5)
-        with pytest.raises(ValueError):
-            amplitude(spec, profile, 1, 6, 0.5)
-        with pytest.raises(ValueError):
-            amplitude(spec, profile, 1, 2, np.inf)
+        row = site_amplitudes(spec, profile, 1, np.pi / 2)
+        assert abs(row[2]) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(row[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry_in_sites(self):
         spec = ChainSpec(9, 3)
         profile = dipolar_ratios(9)
-        assert amplitude(spec, profile, 2, 7, 1.3) == amplitude(spec, profile, 7, 2, 1.3)
+        p27 = site_amplitudes(spec, profile, 2, 1.3)[6]
+        assert abs(p27 - site_amplitudes(spec, profile, 7, 1.3)[1]) <= 1e-15
 
     @given(
         spec=ring_specs(max_nodes=24),
@@ -212,8 +249,8 @@ class TestAmplitude:
         j, k = 1, 1 + n // 3
         js = (j - 1 + shift) % n + 1
         ks = (k - 1 + shift) % n + 1
-        p0 = amplitude(spec, profile, j, k, tau)
-        p1 = amplitude(spec, profile, js, ks, tau)
+        p0 = site_amplitudes(spec, profile, j, tau)[k - 1]
+        p1 = site_amplitudes(spec, profile, js, tau)[ks - 1]
         assert abs(p0 - p1) <= 1e-12
 
     @given(spec=ring_specs(max_nodes=24), tau=st.floats(min_value=-40.0, max_value=40.0))
@@ -221,19 +258,15 @@ class TestAmplitude:
         """Targets k and N+2-k are mirror images of each other."""
         profile = dipolar_ratios(spec.nodes)
         n = spec.nodes
+        row = site_amplitudes(spec, profile, 1, tau)
         for k in range(2, n // 2 + 2):
             mirror = (n - (k - 1)) % n + 1
-            p0 = amplitude(spec, profile, 1, k, tau)
-            p1 = amplitude(spec, profile, 1, mirror, tau)
-            assert abs(p0 - p1) <= 1e-12
+            assert abs(row[k - 1] - row[mirror - 1]) <= 1e-12
 
     @given(spec=ring_specs(max_nodes=24), tau=st.floats(min_value=-50.0, max_value=50.0))
     def test_unitarity(self, spec, tau):
         profile = dipolar_ratios(spec.nodes)
-        total = sum(
-            abs(amplitude(spec, profile, 1, k, tau)) ** 2
-            for k in range(1, spec.nodes + 1)
-        )
+        total = np.sum(np.abs(site_amplitudes(spec, profile, 1, tau)) ** 2)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -247,19 +280,21 @@ class TestEvolve:
         np.testing.assert_allclose(evolve(spec, profile, v, 0.0), v, atol=1e-14)
 
     def test_matches_amplitude_row(self):
+        """The FFT route against the mode sum p_1k = sum_m w_m exp(-i lam_m tau)."""
         spec = ChainSpec(8, 2)
         profile = dipolar_ratios(8)
         basis_state = np.zeros(8, dtype=complex)
         basis_state[0] = 1.0
         out = evolve(spec, profile, basis_state, 2.7)
-        row = np.array([amplitude(spec, profile, 1, k, 2.7) for k in range(1, 9)])
+        lam = eigenvalue_shifts(spec, profile)[0]
+        row = pair_mode_weights(8, 1, np.arange(1, 9)) @ np.exp(-1j * lam * 2.7)
         np.testing.assert_allclose(out, row, atol=1e-13)
 
     def test_eigenstate_picks_up_global_phase(self):
         spec = ChainSpec(10, 3)
         profile = dipolar_ratios(10)
         uniform = np.full(10, 1.0 / np.sqrt(10), dtype=complex)
-        lam_top = mode_eigenvalues(spec, profile)[0]
+        lam_top = eigenvalue_shifts(spec, profile)[0][0]
         out = evolve(spec, profile, uniform, 1.9)
         np.testing.assert_allclose(out, np.exp(-1j * lam_top * 1.9) * uniform, atol=1e-13)
 
