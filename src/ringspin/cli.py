@@ -229,8 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
     single.add_argument("--n", type=int, required=True, help="ring size")
 
     multi = argparse.ArgumentParser(add_help=False)
-    multi.add_argument("--n", type=int, default=None, help="single ring size")
-    multi.add_argument("--n-list", default=None, help="comma-separated ring sizes")
+    lengths = multi.add_mutually_exclusive_group()
+    lengths.add_argument("--n", type=int, default=None, help="single ring size")
+    lengths.add_argument("--n-list", default=None, help="comma-separated ring sizes")
 
     windowed = argparse.ArgumentParser(add_help=False)
     windowed.add_argument("--t-max", type=float, default=None,

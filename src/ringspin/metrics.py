@@ -48,18 +48,16 @@ to rounding; an error whose numerator is within rounding is read as exactly
 0 where both amplitudes carry the same coefficient on every frequency
 (`_same_amplitudes`).
 
-Cost: per map, the N^2/2 sines and cosines of u0 T, the diagonal of every
-radius, and the near-pole entries, a few dozen at the paper's lengths, in
-one batch (`_PairKernels`).  A radius then needs O(N) sines of delta T, and
-per tile of (radius, pair) entries O(N^2) products, a few quotients, a pole
-mask and the fold, so a (M, target) map is O(N^3) with no N^2
-transcendental per radius.  At N <= 70 a map is one or two tiles, so the
-per-map setup costs about as much as the arithmetic.  The pairs are listed
-by cyclic offset d, {c, (c + d) mod m} for the m modes, so the per-mode
-tables reach a tile by two contiguous copies, one of a broadcast and one
-of a strided (Hankel) view of the tables written twice over, never by a
-gather; (a - b) mod N is constant on two runs per offset, so that fold
-adds run sums.  Tiles keep the temporaries in cache.
+Cost: per map, the N^2/2 sines and cosines of u0 T, the diagonal and the
+O(N) sines of delta T of every radius, and the near-pole entries, a few
+dozen at the paper's lengths, in one batch (`_PairKernels`); per tile of
+(radius, pair) entries, O(N^2) products, a few quotients, a pole mask and
+the fold, so a (M, target) map is O(N^3) with no N^2 transcendental per
+radius.  At N <= 71 a map is one or two tiles, whose arithmetic takes a
+tenth (N = 20) to a third (N = 70) of it; the rest is the setup, the
+near-pole batch, the folds and the FFT, NumPy calls on small arrays.  The
+per-mode tables reach a tile by two contiguous copies, never by a gather,
+and a map's blocks of radii are as even as their number allows.
 Mirror symmetry makes targets n and N+2-n equivalent, so only
 n = 1..max_neighbors+1 are computed; the mode multiplicities weight them
 back to the full-ring average (targets and modes are the same reflection
@@ -100,6 +98,7 @@ DEGENERACY_TOL = 1e-12
 # shortest window: below it, (lam_a - lam_b) T of a pair just above
 # DEGENERACY_TOL is subnormal, and the window kernel loses its digits
 MIN_T_MAX = float(np.finfo(float).tiny) / DEGENERACY_TOL
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -176,15 +175,21 @@ def _single_difference(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     short one, -2 int_0^1 sin(b s/2) sin((y + b/2) s) ds where the base y is
     near zero, and elsewhere, where neither y nor y + b is near zero, the
     one-step product form [2y cos(y + b/2) sin(b/2) - b sin y] / (y (y + b))."""
-    short, near = np.abs(b) <= GL_SPAN, np.abs(y) <= BASE_SPAN
+    ends = np.array((y + b, y))
+    sines = np.sin(ends)
+    # `_plain_kernel` at T = 1 of y + b and of y
+    g = np.divide(sines, ends, out=np.ones(ends.shape), where=np.abs(ends) > DEGENERACY_TOL)
+    short = np.abs(b) <= GL_SPAN
+    if not short.any():
+        return g[0] - g[1]
+    near = np.abs(y) <= BASE_SPAN
     half = 0.5 * b
     mid = y + half
-    rule = -2.0 * (np.sin(np.multiply.outer(half, _GL_X))
-                   * np.sin(np.multiply.outer(mid, _GL_X))) @ _GL_W
-    product = ((2.0 * y * np.cos(mid) * np.sin(half) - b * np.sin(y))
-               / np.where(short & ~near, y * (y + b), 1.0))
-    g = _plain_kernel(np.concatenate((y + b, y)), 1.0)
-    return np.where(short, np.where(near, rule, product), g[: y.size] - g[y.size :])
+    at = np.sin(np.multiply.outer((half, mid), _GL_X))  # at the nodes
+    rule = -2.0 * (at[0] * at[1]) @ _GL_W
+    product = ((2.0 * y * np.cos(mid) * np.sin(half) - b * sines[1])
+               / np.where(short > near, y * ends[0], 1.0))
+    return np.where(short, np.where(near, rule, product), g[0] - g[1])
 
 
 def _near_difference(u0: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
@@ -195,17 +200,19 @@ def _near_difference(u0: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
     cos((u0 + (alpha+beta)/2) tau) dtau, which has no pole and cancels
     nothing.  Otherwise it is the difference of two `_single_difference`s
     along the shorter step, at the two bases that the longer one joins."""
-    a, b, x = alpha * t_max, beta * t_max, u0 * t_max
-    a2, b2 = 0.5 * a, 0.5 * b
-    sa, sb, c = (np.multiply.outer(v, _GL_X) for v in (a2, b2, x + a2 + b2))  # at the nodes
-    values = -4.0 * (np.sin(sa) * np.sin(sb) * np.cos(c)) @ _GL_W
-    long = np.flatnonzero(np.maximum(np.abs(a), np.abs(b)) > GL_SPAN)
+    steps, x = np.array((alpha, beta)) * t_max, u0 * t_max
+    half = 0.5 * steps
+    sines = np.sin(np.multiply.outer(half, _GL_X))  # at the nodes
+    mid = np.cos(np.multiply.outer(x + half[0] + half[1], _GL_X))
+    values = -4.0 * (sines[0] * sines[1] * mid) @ _GL_W
+    span = np.abs(steps)
+    long = (np.maximum(span[0], span[1]) > GL_SPAN).nonzero()[0]
     if long.size:
-        a, b, x = a[long], b[long], x[long]
-        swap = np.abs(b) > np.abs(a)
-        longer, shorter = np.where(swap, b, a), np.where(swap, a, b)
-        diff = _single_difference(np.concatenate((x + longer, x)),
-                                  np.concatenate((shorter, shorter)))
+        (a, b), x = steps[:, long], x[long]
+        swap = span[1, long] > span[0, long]
+        y = np.concatenate((x + np.where(swap, b, a), x))
+        shorter = np.where(swap, a, b)
+        diff = _single_difference(y, np.concatenate((shorter, shorter)))
         values[long] = diff[: long.size] - diff[long.size :]
     return values * t_max
 
@@ -216,6 +223,7 @@ class _Chunk(NamedTuple):
     pairs: slice  # its range of pairs
     offsets: slice  # the offsets d of its rows of m pairs
     half: bool  # whether it ends with the half row d = m/2 of an even m
+    spread: np.ndarray  # u0, S, C and S / u0 of its pairs, each repeated over the block rows
 
 
 class _PairKernels:
@@ -228,21 +236,22 @@ class _PairKernels:
     double weight, because every kernel here is symmetric.  The diagonal
     a = b is kept apart.  The pair weights g_a g_b are folded into the
     tables sin(u0 T), cos(u0 T) and sin(u0 T) / u0, so a kernel comes out
-    weighted.  Per map: these tables, the diagonal of every radius, and the
-    pole-free evaluation of every entry that a tile flagged as near a pole.
-    Per block of radii: the tables of delta, written twice over along the
-    modes and read through a Hankel view, so that mode (c + d) mod m of row
-    d is column c + d.  Per tile, a block of radii times a chunk of whole
-    offset rows, at most max(TILE, m) entries: two copies, the products, the
-    pole mask and the fold.  Mode a of a row is the table itself and mode b
-    the table moved by d, so each side of a tile is one copy of a broadcast
-    or of the Hankel view, with no gather, and all arithmetic runs on the
-    contiguous copies.  Along row d, (a - b) mod N is N - d while c + d < m
-    and m - d after it, so the diff fold adds two run sums per row: a
-    weighted `bincount` of every entry would add to one bin m times in a
-    serial chain.  Every tile-sized array lives in a workspace allocated once
-    per map: allocating fresh arrays of that size per operation costs more
-    than the arithmetic on them.
+    weighted.  Per map: these tables, also repeated over the rows of a block
+    so that no tile arithmetic broadcasts them; the diagonal and the tables
+    of delta of every radius, the latter written twice over along the modes
+    and read through a Hankel view, so that mode (c + d) mod m of row d is
+    column c + d; and the pole-free evaluation of every entry that a tile
+    flagged as near a pole.  Per tile, a block of radii times a chunk of
+    whole offset rows, at most max(TILE, m) entries: two copies, the
+    products, the pole mask and the fold.  Mode a of a row is the table
+    itself and mode b the table moved by d, so each side of a tile is one
+    copy of a broadcast or of the Hankel view, with no gather, and all
+    arithmetic runs on the contiguous copies.  Along row d, (a - b) mod N is
+    N - d while c + d < m and m - d after it, so the diff fold adds two run
+    sums per row: a weighted `bincount` of every entry would add to one bin
+    m times in a serial chain.  Every tile-sized array lives in a workspace
+    allocated once per map: allocating fresh arrays of that size per
+    operation costs more than the arithmetic on them.
     """
 
     def __init__(self, nodes: int, lam_ref: np.ndarray, t_max: float, radii: int):
@@ -250,14 +259,16 @@ class _PairKernels:
         self.nodes, self.modes, self.t_max = nodes, mode_count(nodes), t_max
         m, size = self.modes, self.modes * (self.modes - 1) // 2
         offsets, full = m // 2, (m - 1) // 2  # rows, and rows of m pairs
-        # pair i is {c, (c + d) mod m} with c = i % m in offset row d = i // m + 1
-        row, self.ia = np.divmod(np.arange(size), m)
-        self.ib = (self.ia + row + 1) % m
-        k = np.arange(m)
+        # pair i is entry [d - 1, c] of the offset-by-mode grid, c = i % m;
+        # mode b, (c + d) mod m, is a Hankel view of the modes listed twice
+        k, d = np.arange(m), np.arange(1, offsets + 1)[:, None]
+        twice = np.concatenate((k, k))
+        grid = np.ndarray((offsets, m), twice.dtype, twice, twice.itemsize, 2 * twice.strides)
+        self.ib = grid.reshape(-1)[:size]
         g = mode_multiplicities(nodes) / nodes
-        self.weights = g[self.ia] * g[self.ib]
+        self.weights = (g * g[grid]).reshape(-1)[:size]
         self.diag_weights = 0.5 * g * g
-        self.u0 = u0 = lam_ref[self.ia] - lam_ref[self.ib]
+        self.u0 = u0 = (lam_ref - lam_ref[grid]).reshape(-1)[:size]
         self.abs_u0 = np.abs(u0)
         x = u0 * t_max
         self.sin, self.cos = self.weights * np.sin(x), self.weights * np.cos(x)
@@ -266,52 +277,62 @@ class _PairKernels:
                                 where=self.abs_u0 > DEGENERACY_TOL)
         per = max(1, TILE // m)  # offset rows per chunk
         chunk = min(size, per * m)
-        self.rows = max(1, min(TILE // chunk, radii))
-        # room for the copies of three tables per side and seven working arrays
-        self._workspace = np.empty(13 * self.rows * chunk)
-        # a block's tables twice over along the modes; hankel[..., d, c] is
-        # mode (c + d) mod m
-        self._doubled = np.empty((3, self.rows, 2 * m))
-        step = self._doubled.strides
-        self._hankel = np.ndarray((3, self.rows, offsets + 1, m), buffer=self._doubled,
-                                  strides=(*step, step[2]))
+        # radii per block: the fewest blocks of at most TILE entries, each as
+        # small as that number allows, which keeps a tile's arrays in cache
+        blocks = max(1, -(-radii // max(1, TILE // chunk)))
+        self.rows = max(1, -(-radii // blocks))
+        # room for the copies of three tables per side and five working arrays
+        self._workspace = np.empty(11 * self.rows * chunk)
         # histogram bins of the offsets k_a - k_b and k_a + k_b of a row
-        # (module docstring); in a map, row i starts at bin i N
-        self.diag_bins = (0 * k, 2 * k % nodes)
-        self.bins = diff, total = (self.ia - self.ib) % nodes, (self.ia + self.ib) % nodes
-        # along row d, diff is N - d from c = 0 (a = 0) and m - d from
-        # c = m - d (b = 0): two runs per row, one in a half row
-        runs = np.flatnonzero(self.ia * self.ib == 0)
+        # (module docstring), on the grid k_a + k_b < N; in a map, row i
+        # starts at bin i N.  On the diagonal k_a - k_b is 0
+        self.diag_bins = 2 * k % nodes
+        self.bins = bins = np.array(((k - grid) % nodes, k + grid)).reshape(2, -1)[:, :size]
+        # along row d, (a - b) mod N is N - d from c = 0 (a = 0) and m - d
+        # from c = m - d (b = 0): two runs per row, (d - 1) m and d (m - 1),
+        # only the first in a half row
+        cut = offsets + full
+        runs = (d * (m, m - 1) - (m, 0)).reshape(-1)[:cut]
         start = nodes * np.arange(self.rows)[:, None]
+        pair = np.array((u0, self.sin, self.cos, self.sin_u0))[:, None]
         self.chunks = []
         for lo in range(0, offsets, per):
             hi = min(lo + per, offsets)
-            c = slice(lo * m, min(hi * m, size))
-            r = runs[slice(*runs.searchsorted((c.start, c.stop)))]
-            self.chunks.append((_Chunk(c, slice(lo + 1, min(hi, full) + 1), hi > full),
-                                r - c.start, start + diff[r], start + total[c]))
+            c, r = slice(lo * m, min(hi * m, size)), slice(2 * lo, min(2 * hi, cut))
+            spread = pair[..., c].repeat(self.rows, axis=1)
+            self.chunks.append((_Chunk(c, slice(lo + 1, min(hi, full) + 1), hi > full, spread),
+                                runs[r] - c.start, start + bins[0, runs[r]], start + bins[1, c]))
 
-    def map(self, diagonal, second, off_diagonal, near, shifts: np.ndarray) -> np.ndarray:
+    def map(self, diagonal, second, off_diagonal, near, shifts: np.ndarray,
+            reference: bool = False) -> np.ndarray:
         """sum_ab c_a(s) c_b(s) K_ab for every row of shifts and every
         target s, with K given by diagonal(shifts), by off_diagonal(tables,
         chunk), which takes the `tables` of a block with second(delta T) and
         returns weighted entries with a mask of those near a pole, and by
         near(shifts, rows, pairs), which evaluates the masked entries,
-        unweighted, once per map."""
+        unweighted, once per map.  With `reference`, one row more: the form
+        of the plain kernel of lam_ref, T on the diagonal and sin(u0 T) / u0
+        off it."""
         radii = shifts.shape[0]
-        h = np.zeros((radii, self.nodes))
-        start = self.nodes * np.arange(radii)[:, None]
-        _accumulate(h, diagonal(shifts) * self.diag_weights, *(start + b for b in self.diag_bins))
+        h = np.zeros((radii + reference, self.nodes))
+        kernel = np.full((radii + reference, self.modes), self.t_max)
+        kernel[:radii] = diagonal(shifts)
+        start = self.nodes * np.arange(radii + reference)[:, None]
+        _accumulate(h, kernel * self.diag_weights, np.repeat(start, self.modes),
+                    start + self.diag_bins)
+        if reference:
+            _accumulate(h[radii], self.sin_u0, *self.bins)
+        tables = self.tables(shifts, second)
         flagged = []
         for r in range(0, radii, self.rows):
-            block, hist = shifts[r : r + self.rows], h[r : r + self.rows]
-            n = block.shape[0]
-            tables = self.tables(block, second)
+            block = tables[:, r : r + self.rows]
+            n = block.shape[1]
+            hist = h[r : r + n]
             for chunk, runs, diff, total in self.chunks:
-                values, poles = off_diagonal(tables, chunk)
-                flat = np.flatnonzero(poles)  # a 2-D np.nonzero takes ten times as long
+                values, poles = off_diagonal(block, chunk)
+                flat = poles.reshape(-1).nonzero()[0]  # a 2-D nonzero takes ten times as long
                 if flat.size:
-                    np.put(values, flat, 0.0)
+                    values.reshape(-1)[flat] = 0.0
                     rows, pairs = np.divmod(flat, poles.shape[1])
                     flagged.append((rows + r, pairs + chunk.pairs.start))
                 _accumulate(hist, np.add.reduceat(values, runs, axis=1), diff[:n])
@@ -322,38 +343,33 @@ class _PairKernels:
             step = max(1, TILE // _GL_X.size)
             for i in range(0, rows.size, step):
                 r, p = rows[i : i + step], pairs[i : i + step]
-                diff, total = (b[p] + self.nodes * r for b in self.bins)
-                _accumulate(h, near(shifts, r, p) * self.weights[p], diff, total)
+                _accumulate(h, near(shifts, r, p) * self.weights[p],
+                            *(self.bins[:, p] + self.nodes * r))
         return np.fft.rfft(h, axis=1).real
 
-    def reference(self) -> np.ndarray:
-        """sum_ab c_a(s) c_b(s) K_ab for every target s, K the plain kernel
-        of lam_ref: T on the diagonal and sin(u0 T) / u0 off it."""
-        h = np.zeros(self.nodes)
-        _accumulate(h, self.t_max * self.diag_weights, *self.diag_bins)
-        _accumulate(h, self.sin_u0, *self.bins)
-        return np.fft.rfft(h).real
-
-    def tables(self, block: np.ndarray, second) -> np.ndarray:
-        """delta, sin(delta T) and second(delta T) of every mode for a block,
-        as a Hankel view: [i, row, d, c] is table i of mode (c + d) mod m."""
-        n, m = block.shape[0], self.modes
-        x = block * self.t_max
-        head = self._doubled[:, :n, :m]
-        head[0] = block
+    def tables(self, shifts: np.ndarray, second) -> np.ndarray:
+        """delta, sin(delta T) and second(delta T) of every mode for rows of
+        shifts, as a Hankel view of the tables written twice over along the
+        modes: [i, row, d, c] is table i of mode (c + d) mod m."""
+        n, m = shifts.shape[0], self.modes
+        x = shifts * self.t_max
+        doubled = np.empty((3, n, 2 * m))
+        head = doubled[:, :, :m]
+        head[0] = shifts
         np.sin(x, out=head[1])
         head[2] = second(x)
-        self._doubled[:, :n, m:] = head
-        return self._hankel[:, :n]
+        doubled[:, :, m:] = head
+        step = doubled.strides
+        return np.ndarray((3, n, m // 2 + 1, m), buffer=doubled, strides=(*step, step[2]))
 
     def _tile(self, tables: np.ndarray, chunk: _Chunk):
         """Per pair of the chunk and row of the block: delta, sin(delta T)
         and second(delta T) of mode a and of mode b, copied from the block's
-        `tables`, then the seven free workspace arrays of the tile."""
+        `tables`, then the five free workspace arrays of the tile."""
         n, m = tables.shape[1], self.modes
         size = n * (chunk.pairs.stop - chunk.pairs.start)
-        at_a, at_b = (self._workspace[i * size : (i + 3) * size].reshape(3, n, -1) for i in (0, 3))
-        work = [self._workspace[i * size : (i + 1) * size].reshape(n, -1) for i in range(6, 13)]
+        work = self._workspace[: 11 * size].reshape(11, n, -1)
+        at_a, at_b = work[:3], work[3:6]
         rows = chunk.offsets.stop - chunk.offsets.start
         full = rows * m
         np.copyto(at_a[:, :, :full].reshape(3, n, rows, m), tables[:, :, :1])
@@ -361,7 +377,7 @@ class _PairKernels:
         if chunk.half:  # c < m/2 with c + m/2
             np.copyto(at_a[:, :, full:], tables[:, :, 0, : m // 2])
             np.copyto(at_b[:, :, full:], tables[:, :, m // 2, : m // 2])
-        return (at_a[0], at_b[0], at_a[1], at_b[1], at_a[2], at_b[2], *work)
+        return (at_a[0], at_b[0], at_a[1], at_b[1], at_a[2], at_b[2], *work[6:])
 
     def probability_diagonal(self, block: np.ndarray) -> np.ndarray:
         return np.full(block.shape, self.t_max)
@@ -371,8 +387,8 @@ class _PairKernels:
         lam = lam_ref + shifts, by angle addition on the tables:
         sin(u3 T) = cos_b (S cos_a + C sin_a) + sin_b (S sin_a - C cos_a)."""
         da, db, sa, sb, ca, cb, u3, x, y, *_ = self._tile(tables, chunk)
-        s, c = self.sin[chunk.pairs], self.cos[chunk.pairs]
-        np.add(self.u0[chunk.pairs], da, out=u3)
+        u0, s, c = chunk.spread[:3, : da.shape[0]]
+        np.add(u0, da, out=u3)
         u3 -= db
         np.multiply(s, ca, out=x)
         np.multiply(c, sa, out=y)
@@ -388,7 +404,7 @@ class _PairKernels:
     def probability_near(self, shifts: np.ndarray, rows, pairs) -> np.ndarray:
         """The plain quotient (T when degenerate) where |u3| T < POLE_SPAN:
         there it loses nothing to the rounding of u0 T."""
-        u3 = self.u0[pairs] + shifts[rows, self.ia[pairs]] - shifts[rows, self.ib[pairs]]
+        u3 = self.u0[pairs] + shifts[rows, pairs % self.modes] - shifts[rows, self.ib[pairs]]
         return _plain_kernel(u3, self.t_max)
 
     def error_diagonal(self, block: np.ndarray) -> np.ndarray:
@@ -402,19 +418,20 @@ class _PairKernels:
                + delta_b (Q - delta_a S/u0) / u1,
         X = S A1a + C A2a, Q = C A1a - S A2a, P = C A1b + S A2b.  The mask
         flags every entry with one of u0..u3 near a pole."""
-        da, db, a1a, a1b, a2a, a2b, u1, u2, u3, x, p, q, tmp = self._tile(tables, chunk)
-        u0, s, c, q0 = (v[chunk.pairs] for v in (self.u0, self.sin, self.cos, self.sin_u0))
+        da, db, a1a, a1b, a2a, a2b, u1, u2, u3, x, tmp = self._tile(tables, chunk)
+        u0, s, c, q0 = chunk.spread[:, : da.shape[0]]
         np.add(u0, da, out=u1)
         np.subtract(u0, db, out=u2)
         np.subtract(u1, db, out=u3)
         np.multiply(s, a1a, out=x)
         x += np.multiply(c, a2a, out=tmp)
         x *= a1b
-        np.multiply(c, a1a, out=q)
-        q -= np.multiply(s, a2a, out=tmp)
+        # Q and P take the places of the tables that they use last
+        q = np.multiply(c, a1a, out=a1a)
+        q -= np.multiply(s, a2a, out=a2a)
         x -= np.multiply(a2b, q, out=tmp)
-        np.multiply(c, a1b, out=p)
-        p += np.multiply(s, a2b, out=tmp)
+        p = np.multiply(c, a1b, out=a1b)
+        p += np.multiply(s, a2b, out=a2b)
         p -= np.multiply(db, q0, out=tmp)
         p *= da
         p /= u2
@@ -430,7 +447,7 @@ class _PairKernels:
         return x, u1 < POLE_SPAN / self.t_max
 
     def error_near(self, shifts: np.ndarray, rows, pairs) -> np.ndarray:
-        return _near_difference(self.u0[pairs], shifts[rows, self.ia[pairs]],
+        return _near_difference(self.u0[pairs], shifts[rows, pairs % self.modes],
                                 -shifts[rows, self.ib[pairs]], self.t_max)
 
 
@@ -481,31 +498,41 @@ def _same_amplitudes(nodes: int, lam_ref: np.ndarray, shifts: np.ndarray) -> np.
     small reads as 0.  A row where a shift above its rounding still leaves
     a mode within merging distance of its own reference frequency, as the
     tiny shifts of fast-decaying couplings do, is left unmasked."""
-    m = lam_ref.size
+    (radii, m), size = shifts.shape, 2 * lam_ref.size
     g = mode_multiplicities(nodes) / nodes
-    eps = np.finfo(float).eps
-    rounding = 8.0 * max_neighbors(nodes) ** 1.5 * eps
+    rounding = 8.0 * max_neighbors(nodes) ** 1.5 * _EPS
     coef = pair_mode_weights(nodes, 1, np.arange(1, m + 1)).T  # g_a cos(p_a s), s < m
     signed = np.concatenate((coef, -coef))
-    small = 4.0 * m * eps * g.max()  # a coefficient sum that reads as 0
-    # every row's frequencies, shifted then reference, and their groups
+    small = 4.0 * m * _EPS * g.max()  # a coefficient sum that reads as 0
+    # every row's frequencies, shifted then reference, sorted, and their
+    # groups; flat[i, j] is the flattened place of row i's j-th lowest
     moved = np.abs(shifts) > rounding * np.sqrt(shifts**2 @ g)[:, None]
     freq = np.concatenate((lam_ref + np.where(moved, shifts, 0.0),
-                           np.broadcast_to(lam_ref, shifts.shape)), axis=1)
+                           lam_ref[None].repeat(radii, axis=0)), axis=1)
     order = np.argsort(freq, axis=1)
-    gaps = np.diff(np.take_along_axis(freq, order, axis=1), axis=1, prepend=-np.inf)
-    new = gaps > rounding * math.sqrt(g @ lam_ref**2)  # starts a group
-    group, alone = np.empty_like(order), np.empty_like(new)
-    np.put_along_axis(group, order, np.cumsum(new, axis=1), axis=1)
-    # a frequency alone in its group keeps its own coefficients (the first
-    # sorted entry always starts a group, so the roll closes the last one)
-    np.put_along_axis(alone, order, new & np.roll(new, -1, axis=1), axis=1)
+    flat = order + size * np.arange(radii)[:, None]
+    ranked = freq.reshape(-1)[flat]
+    new = np.ones((radii, size), dtype=bool)  # starts a group
+    new[:, 1:] = ranked[:, 1:] - ranked[:, :-1] > rounding * math.sqrt(g @ lam_ref**2)
+    # a frequency alone in its group keeps its own coefficients; the last
+    # closes its group, as the first sorted entry always starts one
+    group, alone = np.empty_like(flat), np.empty_like(new)
+    group.reshape(-1)[flat] = new.cumsum(axis=1)
+    alone.reshape(-1)[flat] = new & np.roll(new, -1, axis=1)
     open_rows = ~((group[:, :m] == group[:, m:]) & moved).any(axis=1)
     possible = (alone.astype(float) @ (np.abs(signed) > small).astype(float)) == 0.0
-    same = np.zeros((shifts.shape[0], m), dtype=bool)
-    for r in np.flatnonzero(open_rows & possible.any(axis=1)):
-        sums = np.add.reduceat(signed[order[r]], np.flatnonzero(new[r]), axis=0)
-        same[r] = (np.abs(sums) <= small).all(axis=0)
+    same = np.zeros((radii, m), dtype=bool)
+    rows = (open_rows & possible.any(axis=1)).nonzero()[0]
+    # the coefficient sums of every group of a batch of rows, whose sorted
+    # coefficients are stacked: a row's first group starts at a multiple of
+    # 2m, and a batch gathers at most max(TILE, 2m^2) of them
+    batch = max(1, TILE // (size * m))
+    for lo in range(0, rows.size, batch):
+        r = rows[lo : lo + batch]
+        starts = new[r].reshape(-1).nonzero()[0]
+        sums = np.add.reduceat(signed[order[r]].reshape(-1, m), starts, axis=0)
+        firsts = (starts % size == 0).nonzero()[0]
+        same[r] = np.logical_and.reduceat(np.abs(sums) <= small, firsts, axis=0)
     return same
 
 
@@ -516,21 +543,23 @@ def _mode_errors(
     lam_ref + each row of shifts against the reference spectrum lam_ref."""
     with np.errstate(all="ignore"):
         pairs = _PairKernels(nodes, lam_ref, t_max, shifts.shape[0])
-        den = _finite(pairs.reference())
-        # a form rounds by up to about modes * eps * T (|K| <= T, weights
-        # summing to 1): a target the reference never reaches shows as a
-        # den that small, and an exactly zero error as a num of either sign
-        bound = pairs.modes * np.finfo(float).eps * t_max
-        if (den <= bound).any():
-            raise ValueError("degenerate window: reference amplitude has no power")
-        num = _finite(pairs.map(pairs.error_diagonal, _one_minus_cos, pairs.error,
-                                pairs.error_near, shifts))
-    if (num < -bound).any():
+        forms = pairs.map(pairs.error_diagonal, _one_minus_cos, pairs.error, pairs.error_near,
+                          shifts, reference=True)
+    num, den = forms[:-1], forms[-1]
+    # a form rounds by up to about modes * eps * T (|K| <= T, weights
+    # summing to 1): a target the reference never reaches shows as a den
+    # that small, and an exactly zero error as a num of either sign
+    bound = pairs.modes * _EPS * t_max
+    if (_finite(den) <= bound).any():
+        raise ValueError("degenerate window: reference amplitude has no power")
+    _finite(num)
+    low = num.min(axis=1)
+    if (low < -bound).any():
         raise ValueError("negative truncation-error power: the window integrals "
                          "lost their precision")
     errors = np.sqrt(np.maximum(num, 0.0) / den)
     # an exactly zero error shows as a num within rounding: test those rows
-    rows = np.flatnonzero((num <= bound).any(axis=1))
+    rows = (low <= bound).nonzero()[0]
     if rows.size:
         zero = (num[rows] <= bound) & _same_amplitudes(nodes, lam_ref, shifts[rows])
         errors[rows] = np.where(zero, 0.0, errors[rows])

@@ -393,6 +393,14 @@ class TestBadConfig:
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["threshold", "fit"])
+    def test_n_and_n_list_are_exclusive(self, capsys, command):
+        # neither length may be dropped silently in favour of the other
+        assert run([command, "--n", "20", "--n-list", "36"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
     def test_infinite_window(self):
         assert run(["jmap", "--n", "8", "--t-max", "inf", "--format", "json"]) == 2
 

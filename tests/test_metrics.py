@@ -18,8 +18,8 @@ from ringspin.metrics import (
     probability_map,
     state_error,
 )
-from ringspin.metrics import (GL_SPAN, _mode_errors, _one_minus_cos, _PairKernels,
-                              _plain_kernel)
+from ringspin.metrics import (GL_SPAN, _mode_errors, _one_minus_cos, _one_minus_sinc,
+                              _PairKernels, _plain_kernel, _same_amplitudes)
 from ringspin.oracle import simpson_integral
 from ringspin.spectral import (eigenvalue_shifts, evolve, mode_count, mode_multiplicities,
                                pair_mode_weights, wave_numbers)
@@ -647,6 +647,122 @@ class TestCancellationFree:
             error_map(10, profile, TimeWindow(t_max))
 
 
+class TestOneMinusSinc:
+    def test_matches_fifty_digits(self):
+        """1 - sin(x)/x within 4 eps of a 50-digit value for |x| from 1e-12
+        to 1e4, on both sides of the switch at |x| = 1 from series to
+        quotient, for both signs of x."""
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        magnitudes = np.concatenate((np.geomspace(1e-12, 1e4, 321),
+                                     [0.5, 0.9, 0.99, below, 1.0, above, 1.01, 1.1, 2.0]))
+        x = np.concatenate((magnitudes, -magnitudes))
+        values = _one_minus_sinc(x)
+        with mpmath.workdps(50):
+            exact = np.array([float(1 - mpmath.sin(mpmath.mpf(v)) / mpmath.mpf(v))
+                              for v in x.tolist()])
+        assert np.all(np.abs(values - exact) <= 4.0 * eps * exact)
+
+    def test_zero_is_exact(self):
+        assert _one_minus_sinc(np.array([0.0, -0.0])).tolist() == [0.0, 0.0]
+
+
+def same_amplitudes_by_row(nodes: int, lam_ref: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """`_same_amplitudes` one row at a time: merge the row's frequencies and
+    the reference's where they lie within rounding, leave a row unmasked
+    where a moved mode shares a group with its own reference frequency, and
+    mask the targets whose coefficient sums all read as 0."""
+    m = lam_ref.size
+    g = mode_multiplicities(nodes) / nodes
+    eps = np.finfo(float).eps
+    rounding = 8.0 * max_neighbors(nodes) ** 1.5 * eps
+    coef = pair_mode_weights(nodes, 1, np.arange(1, m + 1)).T  # frequency x target
+    signed = np.concatenate((coef, -coef))
+    small = 4.0 * m * eps * g.max()
+    same = np.zeros(shifts.shape, dtype=bool)
+    for r, row in enumerate(shifts):
+        moved = np.abs(row) > rounding * math.sqrt(row**2 @ g)
+        freq = np.concatenate((lam_ref + np.where(moved, row, 0.0), lam_ref))
+        order = np.argsort(freq)
+        new = np.diff(freq[order], prepend=-np.inf) > rounding * math.sqrt(g @ lam_ref**2)
+        group = np.empty(2 * m, dtype=int)
+        group[order] = np.cumsum(new)
+        if np.any(moved & (group[:m] == group[m:])):
+            continue
+        sums = np.add.reduceat(signed[order], np.flatnonzero(new), axis=0)
+        same[r] = np.all(np.abs(sums) <= small, axis=0)
+    return same
+
+
+class TestSameAmplitudes:
+    def swapped_rows(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """The reference spectrum of the dipolar ring and, per row, two modes
+        of equal multiplicity that swap frequencies (row 0: the uniform and
+        the alternating mode of an even ring), then rows where one mode
+        moves above rounding to a frequency of its own."""
+        lam_ref, _ = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), dipolar_ratios(nodes))
+        m = lam_ref.size
+        pairs = [(0, m - 1), *((a, a + d) for d in (1, 3) for a in range(1, m - 1 - d, 2))]
+        rows = []
+        for a, b in pairs:
+            row = np.zeros(m)
+            row[a], row[b] = lam_ref[b] - lam_ref[a], lam_ref[a] - lam_ref[b]
+            rows.append(row)
+        for a in range(0, m, 3):
+            row = np.zeros(m)
+            row[a] = 0.37 * (abs(lam_ref[a]) + 1.0)
+            rows.append(row)
+        return lam_ref, np.array(rows)
+
+    @staticmethod
+    def reached(nodes: int, modes) -> np.ndarray:
+        """Whether mode a carries a coefficient on target s: |g_a cos(p_a s)|
+        well above rounding."""
+        coef = pair_mode_weights(nodes, 1, np.arange(1, mode_count(nodes) + 1)).T
+        return np.abs(coef[list(modes)]) > 1e-12
+
+    @pytest.mark.parametrize("nodes", [6, 20, 70])
+    @pytest.mark.parametrize("tile", [metrics.TILE, 1])
+    def test_matches_the_row_by_row_mask(self, monkeypatch, nodes, tile):
+        """Bit for bit the per-row mask, on rows where two modes swap
+        frequencies and rows where one mode moves, in one batch of rows
+        and one row per batch."""
+        monkeypatch.setattr(metrics, "TILE", tile)
+        lam_ref, shifts = self.swapped_rows(nodes)
+        same = _same_amplitudes(nodes, lam_ref, shifts)
+        np.testing.assert_array_equal(same, same_amplitudes_by_row(nodes, lam_ref, shifts))
+        swaps = len(shifts) - len(range(0, lam_ref.size, 3))
+        # the uniform and the alternating mode carry 1/N and +-1/N: their
+        # swap leaves the even targets' amplitudes as they were
+        assert np.array_equal(same[0], np.arange(lam_ref.size) % 2 == 0)
+        # a mode moved to a frequency of its own leaves a target as it was
+        # only where it does not reach that target
+        assert same[:swaps].any()
+        assert not (same[swaps:] & self.reached(nodes, range(0, lam_ref.size, 3))).any()
+
+    @pytest.mark.parametrize("nodes, couplings", [(6, (1.0, 0.0, -1.0)),
+                                                  (12, (1.0, 0.0, -0.5, 0.0, 0.0, 0.0))])
+    def test_exactly_zero_rows_of_a_map(self, nodes, couplings):
+        """The radii of rings whose truncated spectra swap frequencies
+        between modes (`test_swapped_frequencies_give_exact_zeros`)."""
+        lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes),
+                                            CouplingProfile(couplings))
+        same = _same_amplitudes(nodes, lam_ref, shifts)
+        np.testing.assert_array_equal(same, same_amplitudes_by_row(nodes, lam_ref, shifts))
+        assert same.any()
+
+    def test_steep_tail_rows(self):
+        """Radii 13 to 34 of the steep N = 70 ring, whose errors the map
+        tests for exact zeros: tiny shifts of fast-decaying couplings, none
+        of them masked."""
+        lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(70), steep_profile(70))
+        tail = shifts[12:-1]
+        same = _same_amplitudes(70, lam_ref, tail)
+        np.testing.assert_array_equal(same, same_amplitudes_by_row(70, lam_ref, tail))
+        assert not same.any()
+
+
 # couplings on a coarse grid whose reference spectrum has exactly degenerate
 # pairs: near a pole at every radius, so every tile flags entries
 DEGENERATE_PROFILE = CouplingProfile((1.0, 1.0, 0.5, 0.0, 0.5, 1.0, 0.0, 0.0))
@@ -693,6 +809,19 @@ class TestTilePartition:
         else:
             assert half_rows == {(False, False)}
 
+    @pytest.mark.parametrize("nodes", [20, 50, 70, 71, 280, 402])
+    @pytest.mark.parametrize("radii", [1, 9, 34, 35])
+    def test_blocks_are_even_tiles(self, nodes, radii):
+        """A block of radii times a chunk stays within max(TILE, m) entries,
+        a map takes no more blocks than tiles of that size need, and its
+        blocks are as small as that number allows (34 radii at N = 70: two
+        blocks of 17, not 26 and 8)."""
+        pairs = _PairKernels(nodes, np.zeros(mode_count(nodes)), 1.0, radii)
+        width = max(chunk.pairs.stop - chunk.pairs.start for chunk, *_ in pairs.chunks)
+        assert pairs.rows * width <= max(metrics.TILE, mode_count(nodes))
+        blocks = -(-radii // max(1, metrics.TILE // width))
+        assert pairs.rows == -(-radii // blocks)
+
     def test_degenerate_profile_has_static_pairs(self):
         """Pairs with an exactly degenerate reference are flagged near a
         pole at every radius."""
@@ -716,7 +845,8 @@ class TestPairOrder:
                 if nodes < 3:
                     continue
                 pairs = _PairKernels(nodes, np.zeros(m), 1.0, 1)
-                a, b = pairs.ia, pairs.ib
+                b = pairs.ib
+                a = np.arange(b.size) % m  # pair i, in offset row i // m + 1, has mode a = i % m
                 assert mode_count(nodes) == m and a.size == m * (m - 1) // 2
                 assert np.all(a != b)
                 keys = np.minimum(a, b) * m + np.maximum(a, b)
@@ -739,7 +869,7 @@ class TestPairOrder:
         m, radii = mode_count(nodes), 9
         pairs = _PairKernels(nodes, 10.0 * np.arange(m), 1.0, radii)
         assert pairs.rows > 1 if len(pairs.chunks) == 1 else pairs.rows == 1
-        values = np.random.default_rng(nodes).standard_normal((radii, pairs.ia.size))
+        values = np.random.default_rng(nodes).standard_normal((radii, pairs.ib.size))
         shifts = np.repeat(np.arange(radii, dtype=float)[:, None], m, axis=1)
 
         def off_diagonal(tables, chunk):
