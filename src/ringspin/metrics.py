@@ -108,6 +108,9 @@ class TimeWindow:
     t_max: float
 
     def __post_init__(self):
+        # a float: the window kernels take the dtype of t_max, and an integer
+        # one would truncate them
+        object.__setattr__(self, "t_max", float(self.t_max))
         if not MIN_T_MAX <= self.t_max < math.inf:
             raise ValueError(f"t_max must be finite and at least {MIN_T_MAX:.3g}, "
                              f"got {self.t_max!r}")
@@ -483,6 +486,15 @@ def _mode_probabilities(
     return _finite(np.maximum(forms, 0.0) / t_max)
 
 
+def _rms(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sqrt(x**2 @ g) over the last axis, with x first divided by a power of
+    two within a factor 2 of its largest entry: no square overflows, and
+    wherever the plain form neither overflows nor underflows the result is
+    the same bit for bit."""
+    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1] - 1)
+    return scale[..., 0] * np.sqrt((x / scale) ** 2 @ g)
+
+
 def _same_amplitudes(nodes: int, lam_ref: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Mask (rows of shifts, targets) of the amplitudes that equal the
     reference amplitude term by term once equal frequencies are merged: the
@@ -506,14 +518,14 @@ def _same_amplitudes(nodes: int, lam_ref: np.ndarray, shifts: np.ndarray) -> np.
     small = 4.0 * m * _EPS * g.max()  # a coefficient sum that reads as 0
     # every row's frequencies, shifted then reference, sorted, and their
     # groups; flat[i, j] is the flattened place of row i's j-th lowest
-    moved = np.abs(shifts) > rounding * np.sqrt(shifts**2 @ g)[:, None]
+    moved = np.abs(shifts) > rounding * _rms(shifts, g)[:, None]
     freq = np.concatenate((lam_ref + np.where(moved, shifts, 0.0),
                            lam_ref[None].repeat(radii, axis=0)), axis=1)
     order = np.argsort(freq, axis=1)
     flat = order + size * np.arange(radii)[:, None]
     ranked = freq.reshape(-1)[flat]
     new = np.ones((radii, size), dtype=bool)  # starts a group
-    new[:, 1:] = ranked[:, 1:] - ranked[:, :-1] > rounding * math.sqrt(g @ lam_ref**2)
+    new[:, 1:] = ranked[:, 1:] - ranked[:, :-1] > rounding * _rms(lam_ref, g)
     # a frequency alone in its group keeps its own coefficients; the last
     # closes its group, as the first sorted entry always starts one
     group, alone = np.empty_like(flat), np.empty_like(new)

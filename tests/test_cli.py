@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ringspin import cli
 from ringspin.chain import dipolar_ratios, max_neighbors
 from ringspin.cli import Table, _body, _build_parser, _emit, main
 from ringspin.fitting import fit_scale
@@ -293,6 +294,90 @@ class TestOutputFormats:
         assert len(lines) == 4
 
 
+def float_cases(rng) -> np.ndarray:
+    """Finite floats whose text reads back as finite: random bit patterns,
+    subnormals, every decade from 1e-320 to 1e308, dense decades where the
+    array writes digits itself (1e-30 to 1e15), exact ties at 15 digits,
+    10^k and its neighbours, both sides of 1e15 and 1e-30, zeros and
+    integral values; each with both signs."""
+    bits = rng.integers(0, 2**63, 20_000, dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(1, 2**52, 2_000, dtype=np.uint64).view(np.float64)
+    with np.errstate(over="ignore"):  # 9.x e308 is inf, dropped below
+        decades = (rng.uniform(1.0, 10.0, (629, 20)) * np.logspace(-320, 308, 629)[:, None])
+    dense = (rng.uniform(1.0, 10.0, (45, 1500)) * np.logspace(-30, 14, 45)[:, None]).ravel()
+    # t / 2^d with t odd and t 5^d of 16 digits ending in 5: ties at 15 digits
+    ties = [t / 2.0**d for d in range(23) for t in
+            2 * rng.integers(-(-10**15 // 5**d) // 2, 10**16 // 5**d // 2, 40) + 1]
+    powers = [float(f"1e{k}") for k in range(-320, 309)]
+    edges = [1e15, 1e-30, 999999999999999.4, 999999999999999.5, 999999999999999.6,
+             99999999999999.95, 9.999999999999995e-5, 5e-324, LARGEST_TEXT, 0.0]
+    near = [math.nextafter(v, to) for v in powers + edges for to in (0.0, math.inf)]
+    integral = rng.integers(-(10**17), 10**17, 5_000).astype(float)
+    x = np.concatenate([bits, subnormal, decades.ravel(), dense, ties, powers, edges, near,
+                        integral])
+    x = x[np.abs(x) <= LARGEST_TEXT]
+    signs = np.where(rng.random(x.size) < 0.5, -1.0, 1.0)
+    return np.concatenate([x * signs, [-0.0]])
+
+
+class TestArrayTables:
+    """Tables of at least cli._ARRAY_ROWS rows are written from one byte array."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_float_matches_percent(self, fmt):
+        x = float_cases(np.random.default_rng(2024))
+        assert x.size >= 100_000
+        body = _body(Table("t", {"x": x}), fmt)
+        if fmt == "csv":
+            lines = body.split("\r\n")[:-1]
+        else:
+            lines = [line[1:-1] for line in body.split(",\n")]
+        assert lines == [reference_cell(v, float, fmt) for v in x.tolist()]
+
+    @pytest.mark.parametrize("rows", [3, 199, 200, 4097, 9000])
+    def test_both_routes_write_the_same_bytes(self, monkeypatch, rows):
+        # on both sides of the size switch and across the row blocks: each
+        # table through the array and through one `%`
+        rng = np.random.default_rng(rows)
+        x = float_cases(rng)
+        ints = np.array([0, 1, -1, 9999, 10**4, -(10**5), 123456, 2**63 - 1, -(2**63)])
+        columns = {
+            "flag": rng.random(rows) < 0.5,
+            "small": np.arange(rows),
+            "signed": rng.integers(-(10**6), 10**6, rows),
+            "wide": rng.choice(ints, rows),
+            "unsigned": rng.integers(0, 2**64 - 1, rows, dtype=np.uint64, endpoint=True),
+            "x": rng.choice(x, rows),
+            "listed": tuple(rng.choice(x, rows).tolist()),
+            "single": rng.choice(x[np.abs(x) < 3e38], rows).astype(np.float32),
+        }
+        table = Table("t", columns)
+        for fmt in ("csv", "json"):
+            monkeypatch.setattr(cli, "_ARRAY_ROWS", 1)
+            array = _body(table, fmt)
+            monkeypatch.setattr(cli, "_ARRAY_ROWS", 10**9)
+            assert array == _body(table, fmt), (rows, fmt)
+
+    def test_large_map_bytes(self, tmp_path):
+        # a map on the array route, written to files in both formats
+        assert len(error_map(30, dipolar_ratios(30), TimeWindow(30.0))[0].ravel()) >= 200
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"map.{fmt}"
+            assert run(["jmap", "--n", "30", "--format", fmt, "--out", str(out)]) == 0
+            errors, means = error_map(30, dipolar_ratios(30), TimeWindow(30.0))
+            rows = [(m, t, v) for m, row in enumerate(errors, 1)
+                    for t, v in enumerate(row.tolist(), 1)]
+            cells = [f"{m},{t},{reference_cell(v, float, fmt)}" for m, t, v in rows]
+            if fmt == "csv":
+                assert out.read_bytes().decode() == "neighbors,target,error\r\n" + "".join(
+                    c + "\r\n" for c in cells)
+            else:
+                body = ",\n".join("[" + c.replace(",", ", ") + "]" for c in cells)
+                assert out.read_text().startswith(
+                    '{"error": {"columns": ["neighbors", "target", "error"], "rows": [\n'
+                    + body + "\n]}")
+
+
 class TestCustomProfiles:
     def test_custom_profile_file(self, tmp_path):
         path = tmp_path / "profile.txt"
@@ -321,6 +406,23 @@ class TestCustomProfiles:
 
     def test_unknown_profile_kind_is_bad_config(self):
         assert run(["spectrum", "--n", "8", "--profile", "quadrupolar"]) == 2
+
+    def test_huge_coupling_keeps_the_table(self, tmp_path, capsys):
+        # eigenvalues near 1e200: the merge distance of the exact-zero mask
+        # squared them, which overflowed (a RuntimeWarning, an error in this
+        # suite); the table is the one printed before, radii 2-4 exactly 0
+        path = tmp_path / "profile.txt"
+        path.write_text("1\n1e200\n0\n0\n")
+        assert run(["jmap", "--n", "8", "--profile", f"custom:{path}"]) == 0
+        first = ["1,1,1.22474487139159", "1,2,1.4142135623731", "1,3,1",
+                 "1,4,1.4142135623731", "1,5,1.87082869338697"]
+        zeros = [f"{m},{t},0" for m in (2, 3, 4) for t in range(1, 6)]
+        averages = ["1,1.34405347678387", "2,0", "3,0", "4,0"]
+        lines = ["# table: error", "neighbors,target,error", *first, *zeros,
+                 "# table: error_avg", "neighbors,mean_error", *averages]
+        captured = capsys.readouterr()
+        assert captured.out == "".join(line + "\r\n" for line in lines)
+        assert captured.err == ""
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_profile_file_is_bad_config(self, tmp_path, capsys, bad):

@@ -44,6 +44,21 @@ class TestTimeWindow:
     def test_matched_default(self):
         assert TimeWindow.matched(70).t_max == 70.0
 
+    @pytest.mark.parametrize("nodes", [9, 10, 36])
+    def test_integer_and_float32_windows_match_the_float_window(self, nodes):
+        # an integer t_max once truncated the diagonal error kernel to integers
+        # (0.145 off at N = 9, T = 9) and a float32 one rounded it
+        profile = dipolar_ratios(nodes)
+        for t_max in (nodes, 2 * nodes, 3, np.int64(nodes), np.float32(nodes)):
+            window = TimeWindow(t_max)
+            assert type(window.t_max) is float
+            reference = TimeWindow(float(t_max))
+            for left, right in zip(error_map(nodes, profile, window),
+                                   error_map(nodes, profile, reference)):
+                assert np.array_equal(left, right)
+            assert np.array_equal(probability_map(nodes, profile, window),
+                                  probability_map(nodes, profile, reference))
+
 
 def mirror_columns(nodes: int) -> np.ndarray:
     """Map column of every target 1..N: target n and its mirror N+2-n share one."""
