@@ -49,8 +49,6 @@ class ChainSpec:
     neighbors: int
 
     def __post_init__(self):
-        if self.nodes < 3:
-            raise ValueError(f"a ring needs at least 3 nodes, got {self.nodes}")
         nf = max_neighbors(self.nodes)
         if not 1 <= self.neighbors <= nf:
             raise ValueError(

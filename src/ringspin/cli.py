@@ -12,11 +12,11 @@ fit         per chain length, the scale kappa of the mean error curve
 validate    the `oracle` checks of the closed form; nonzero exit on failure
 
 A table is a name and its columns, one 1-D array or sequence each, and it
-is formatted straight from them: a table of at least 200 rows from one byte
+is formatted straight from them: a table of at least 128 rows from one byte
 array of fixed-slot cells with NUL in the unused slots, dropped by one
-bytes.translate, and a smaller one by one `%` over a row template.  The
-array rounds the digits itself for 1e-30 <= |x| < 1e15 and leaves other
-values and exact ties to `%`, so both give the bytes of `%d` and `%.15g`.
+bytes.translate, and a smaller one value at a time by `%`.  The array
+rounds the digits itself for 1e-30 <= |x| < 1e15 and leaves other values
+and exact ties to `%`, so both give the bytes of `%d` and `%.15g`.
 Values are written with 15 significant digits in both formats, so CSV and
 JSON parse back to identical numbers; JSON writes one row per line, and a
 float column stays a JSON float even where its value is integral.  A value
@@ -76,7 +76,7 @@ def _words(texts) -> np.ndarray:
 #   5 words   3 significant digits each, with a "." after any of them
 #   1 word    the exponent, or a JSON ".0"
 # and an integer cell is separator and sign, then 3 digits per word.
-_ARRAY_ROWS = 200  # below it one `%` is faster: the array set-up costs about 0.2 ms
+_ARRAY_ROWS = 128  # the routes cross at 100-150 rows: the array costs 0.1-0.2 ms to set up
 _BLOCK = 4096      # rows per pass: small temporaries, reused from pass to pass
 _FLOAT_WORDS = 8
 _DIGITS = np.indices((10,) * 3, dtype=np.uint8).reshape(3, -1).T + ord("0")  # "000".."999"
@@ -215,47 +215,38 @@ def _array_body(columns: list[np.ndarray], fmt: str) -> str:
                 slow = _float_cells(x, fmt, cells)
                 if slow.size:  # their text by `%`, after the separator
                     width = 4 * (last - first) - 2
-                    texts = [("%.15g" % v).encode() for v in x[slow].tolist()]
-                    if fmt == "json":
-                        texts = [s + b".0" if s.lstrip(b"-").isdigit() else s for s in texts]
                     text[lo + slow, 4 * first + 2 : 4 * last] = np.frombuffer(
-                        b"".join(s.ljust(width, b"\0") for s in texts), dtype=np.uint8
-                    ).reshape(-1, width)
+                        "".join(s.ljust(width, "\0") for s in _float_texts(x[slow], fmt))
+                        .encode("ascii"), dtype=np.uint8).reshape(-1, width)
             cells[:, 0] |= prefix
     body = matrix.tobytes().translate(None, b"\0").decode("ascii")
     return body if fmt == "csv" else body[:-2]
 
 
+def _float_texts(values: np.ndarray, fmt: str) -> list[str]:
+    """`%.15g` of each float; in JSON with ".0" where that text reads as an
+    integer, so it parses back as a float."""
+    texts = list(map("%.15g".__mod__, values.tolist()))
+    return texts if fmt == "csv" else [s + ".0" if s.lstrip("-").isdigit() else s for s in texts]
+
+
 def _body(t: Table, fmt: str) -> str:
-    """All rows as text: `%d` for an integer column, `%.15g` for a float
-    column.  Both formats refuse a non-finite float.  In JSON, a float whose
-    text reads as an integer gets ".0", so it parses back as a float.  A
-    table of at least _ARRAY_ROWS rows is written from one byte array, a
-    smaller one from one `%` over a row template; both give the same bytes."""
+    """All rows as text: `%d` for an integer column, `%.15g` (`_float_texts`)
+    for a float column.  Both formats refuse a non-finite float.  A table of
+    at least _ARRAY_ROWS rows is written from one byte array and a smaller
+    one value by value; both give the same bytes."""
     columns = [np.asarray(c) for c in t.columns.values()]
     columns = [c if c.dtype.kind in "biu" else np.asarray(c, dtype=float) for c in columns]
-    specs = ["%d" if c.dtype.kind in "biu" else "%.15g" for c in columns]
-    for name, c, spec in zip(t.columns, columns, specs):
-        if spec == "%.15g" and not (np.abs(c) <= _LARGEST_FINITE_TEXT).all():
+    for name, c in zip(t.columns, columns):
+        if c.dtype.kind == "f" and not (np.abs(c) <= _LARGEST_FINITE_TEXT).all():
             raise ValueError(f"table {t.name!r}, column {name!r}: value is not finite")
-    rows = len(columns[0])
-    if rows >= _ARRAY_ROWS:
+    if len(columns[0]) >= _ARRAY_ROWS:
         return _array_body(columns, fmt)
-    cells, integral = [None] * (rows * len(columns)), {}
-    for j, (c, spec) in enumerate(zip(columns, specs)):
-        cells[j::len(columns)] = c.tolist()
-        if spec == "%d":
-            continue
-        # a superset of the values whose 15-digit text has no "." or "e"
-        near_integer = np.abs(c - np.rint(c)) <= 1e-14 * np.abs(c)
-        for i in np.flatnonzero(near_integer).tolist() if fmt == "json" else ():
-            if ("%.15g" % c[i]).lstrip("-").isdigit():
-                integral.setdefault(i, list(specs))[j] = "%.15g.0"
+    cells = [list(map("%d".__mod__, c.tolist())) if c.dtype.kind in "biu"
+             else _float_texts(c, fmt) for c in columns]
     head, sep, tail = ("", ",", "\r\n") if fmt == "csv" else ("[", ", ", "]")
-    templates = [head + sep.join(specs) + tail] * rows
-    for i, row_specs in integral.items():
-        templates[i] = head + sep.join(row_specs) + tail
-    return ("" if fmt == "csv" else ",\n").join(templates) % tuple(cells)
+    return ("" if fmt == "csv" else ",\n").join(head + sep.join(row) + tail
+                                                 for row in zip(*cells))
 
 
 def _emit(tables: list[Table], fmt: str, out: str | None) -> None:

@@ -179,9 +179,7 @@ def _single_difference(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     near zero, and elsewhere, where neither y nor y + b is near zero, the
     one-step product form [2y cos(y + b/2) sin(b/2) - b sin y] / (y (y + b))."""
     ends = np.array((y + b, y))
-    sines = np.sin(ends)
-    # `_plain_kernel` at T = 1 of y + b and of y
-    g = np.divide(sines, ends, out=np.ones(ends.shape), where=np.abs(ends) > DEGENERACY_TOL)
+    g = _plain_kernel(ends, 1.0)
     short = np.abs(b) <= GL_SPAN
     if not short.any():
         return g[0] - g[1]
@@ -190,7 +188,7 @@ def _single_difference(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     mid = y + half
     at = np.sin(np.multiply.outer((half, mid), _GL_X))  # at the nodes
     rule = -2.0 * (at[0] * at[1]) @ _GL_W
-    product = ((2.0 * y * np.cos(mid) * np.sin(half) - b * sines[1])
+    product = ((2.0 * y * np.cos(mid) * np.sin(half) - b * np.sin(y))
                / np.where(short > near, y * ends[0], 1.0))
     return np.where(short, np.where(near, rule, product), g[0] - g[1])
 
@@ -309,17 +307,17 @@ class _PairKernels:
     def map(self, diagonal, second, off_diagonal, near, shifts: np.ndarray,
             reference: bool = False) -> np.ndarray:
         """sum_ab c_a(s) c_b(s) K_ab for every row of shifts and every
-        target s, with K given by diagonal(shifts), by off_diagonal(tables,
-        chunk), which takes the `tables` of a block with second(delta T) and
-        returns weighted entries with a mask of those near a pole, and by
-        near(shifts, rows, pairs), which evaluates the masked entries,
-        unweighted, once per map.  With `reference`, one row more: the form
-        of the plain kernel of lam_ref, T on the diagonal and sin(u0 T) / u0
-        off it."""
+        target s, with K given by the `diagonal` values, which broadcast
+        against shifts, by off_diagonal(tables, chunk), which takes the
+        `tables` of a block with second(delta T) and returns weighted
+        entries with a mask of those near a pole, and by near(shifts, rows,
+        pairs), which evaluates the masked entries, unweighted, once per
+        map.  With `reference`, one row more: the form of the plain kernel
+        of lam_ref, T on the diagonal and sin(u0 T) / u0 off it."""
         radii = shifts.shape[0]
         h = np.zeros((radii + reference, self.nodes))
         kernel = np.full((radii + reference, self.modes), self.t_max)
-        kernel[:radii] = diagonal(shifts)
+        kernel[:radii] = diagonal
         start = self.nodes * np.arange(radii + reference)[:, None]
         _accumulate(h, kernel * self.diag_weights, np.repeat(start, self.modes),
                     start + self.diag_bins)
@@ -381,9 +379,6 @@ class _PairKernels:
             np.copyto(at_a[:, :, full:], tables[:, :, 0, : m // 2])
             np.copyto(at_b[:, :, full:], tables[:, :, m // 2, : m // 2])
         return (at_a[0], at_b[0], at_a[1], at_b[1], at_a[2], at_b[2], *work[6:])
-
-    def probability_diagonal(self, block: np.ndarray) -> np.ndarray:
-        return np.full(block.shape, self.t_max)
 
     def probability(self, tables: np.ndarray, chunk: _Chunk):
         """K_ab = sin((lam_a - lam_b) T) / (lam_a - lam_b) for
@@ -474,18 +469,6 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _mode_probabilities(
-    nodes: int, lam_ref: np.ndarray, shifts: np.ndarray, t_max: float
-) -> np.ndarray:
-    """Window-averaged probabilities 1 -> n (columns: independent targets)
-    for the spectra lam_ref + each row of shifts."""
-    with np.errstate(all="ignore"):
-        pairs = _PairKernels(nodes, lam_ref, t_max, shifts.shape[0])
-        forms = pairs.map(pairs.probability_diagonal, np.cos, pairs.probability,
-                          pairs.probability_near, shifts)
-    return _finite(np.maximum(forms, 0.0) / t_max)
-
-
 def _rms(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sqrt(x**2 @ g) over the last axis, with x first divided by a power of
     two within a factor 2 of its largest entry: no square overflows, and
@@ -510,41 +493,26 @@ def _same_amplitudes(nodes: int, lam_ref: np.ndarray, shifts: np.ndarray) -> np.
     small reads as 0.  A row where a shift above its rounding still leaves
     a mode within merging distance of its own reference frequency, as the
     tiny shifts of fast-decaying couplings do, is left unmasked."""
-    (radii, m), size = shifts.shape, 2 * lam_ref.size
+    m = lam_ref.size
     g = mode_multiplicities(nodes) / nodes
     rounding = 8.0 * max_neighbors(nodes) ** 1.5 * _EPS
     coef = pair_mode_weights(nodes, 1, np.arange(1, m + 1)).T  # g_a cos(p_a s), s < m
     signed = np.concatenate((coef, -coef))
     small = 4.0 * m * _EPS * g.max()  # a coefficient sum that reads as 0
-    # every row's frequencies, shifted then reference, sorted, and their
-    # groups; flat[i, j] is the flattened place of row i's j-th lowest
+    merge = rounding * _rms(lam_ref, g)
     moved = np.abs(shifts) > rounding * _rms(shifts, g)[:, None]
-    freq = np.concatenate((lam_ref + np.where(moved, shifts, 0.0),
-                           lam_ref[None].repeat(radii, axis=0)), axis=1)
-    order = np.argsort(freq, axis=1)
-    flat = order + size * np.arange(radii)[:, None]
-    ranked = freq.reshape(-1)[flat]
-    new = np.ones((radii, size), dtype=bool)  # starts a group
-    new[:, 1:] = ranked[:, 1:] - ranked[:, :-1] > rounding * _rms(lam_ref, g)
-    # a frequency alone in its group keeps its own coefficients; the last
-    # closes its group, as the first sorted entry always starts one
-    group, alone = np.empty_like(flat), np.empty_like(new)
-    group.reshape(-1)[flat] = new.cumsum(axis=1)
-    alone.reshape(-1)[flat] = new & np.roll(new, -1, axis=1)
-    open_rows = ~((group[:, :m] == group[:, m:]) & moved).any(axis=1)
-    possible = (alone.astype(float) @ (np.abs(signed) > small).astype(float)) == 0.0
-    same = np.zeros((radii, m), dtype=bool)
-    rows = (open_rows & possible.any(axis=1)).nonzero()[0]
-    # the coefficient sums of every group of a batch of rows, whose sorted
-    # coefficients are stacked: a row's first group starts at a multiple of
-    # 2m, and a batch gathers at most max(TILE, 2m^2) of them
-    batch = max(1, TILE // (size * m))
-    for lo in range(0, rows.size, batch):
-        r = rows[lo : lo + batch]
-        starts = new[r].reshape(-1).nonzero()[0]
-        sums = np.add.reduceat(signed[order[r]].reshape(-1, m), starts, axis=0)
-        firsts = (starts % size == 0).nonzero()[0]
-        same[r] = np.logical_and.reduceat(np.abs(sums) <= small, firsts, axis=0)
+    same = np.zeros(shifts.shape, dtype=bool)
+    # a mode moved by at most `merge` shares a group with its own reference
+    # frequency: every sorted gap between the two is at most its shift
+    for r in (~(moved & (np.abs(shifts) <= merge)).any(axis=1)).nonzero()[0]:
+        freq = np.concatenate((lam_ref + np.where(moved[r], shifts[r], 0.0), lam_ref))
+        order = np.argsort(freq)
+        new = np.diff(freq[order], prepend=-np.inf) > merge  # starts a group
+        group = np.empty(2 * m, dtype=np.intp)
+        group[order] = new.cumsum()
+        if not (moved[r] & (group[:m] == group[m:])).any():
+            sums = np.add.reduceat(signed[order], new.nonzero()[0], axis=0)
+            same[r] = (np.abs(sums) <= small).all(axis=0)
     return same
 
 
@@ -555,8 +523,8 @@ def _mode_errors(
     lam_ref + each row of shifts against the reference spectrum lam_ref."""
     with np.errstate(all="ignore"):
         pairs = _PairKernels(nodes, lam_ref, t_max, shifts.shape[0])
-        forms = pairs.map(pairs.error_diagonal, _one_minus_cos, pairs.error, pairs.error_near,
-                          shifts, reference=True)
+        forms = pairs.map(pairs.error_diagonal(shifts), _one_minus_cos, pairs.error,
+                          pairs.error_near, shifts, reference=True)
     num, den = forms[:-1], forms[-1]
     # a form rounds by up to about modes * eps * T (|K| <= T, weights
     # summing to 1): a target the reference never reaches shows as a den
@@ -587,7 +555,10 @@ def probability_map(
     window-averaged probabilities 1 -> n for n in independent_targets.
     """
     lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
-    return _mode_probabilities(nodes, lam_ref, shifts, window.t_max)
+    with np.errstate(all="ignore"):
+        pairs = _PairKernels(nodes, lam_ref, window.t_max, shifts.shape[0])
+        forms = pairs.map(pairs.t_max, np.cos, pairs.probability, pairs.probability_near, shifts)
+    return _finite(np.maximum(forms, 0.0) / window.t_max)
 
 
 def error_map(

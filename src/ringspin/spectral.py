@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingProfile
+from .chain import ChainSpec, CouplingProfile, max_neighbors
 
 __all__ = [
     "eigenvalue_shifts",
@@ -123,14 +123,15 @@ def pair_mode_weights(nodes: int, j, k) -> np.ndarray:
 
     w_m = (P_m)_{jk} = (mult_m / N) cos(p_m (j - k)), the entry of the
     eigenspace projector of mode m; the amplitude is then
-    p_{jk}(tau) = sum_m w_m exp(-i lam_m tau).  Sites are 1-based; array
-    sites broadcast against each other.
+    p_{jk}(tau) = sum_m w_m exp(-i lam_m tau).  Sites are 1-based integers,
+    integral floats included; array sites broadcast against each other.
     """
-    if nodes < 3:
-        raise ValueError(f"a ring needs at least 3 nodes, got {nodes}")
+    max_neighbors(nodes)  # refuses a ring of fewer than 3 nodes
     j, k = np.asarray(j), np.asarray(k)
     if not (np.all((1 <= j) & (j <= nodes)) and np.all((1 <= k) & (k <= nodes))):
         raise ValueError(f"sites must lie in [1, {nodes}], got ({j}, {k})")
+    if any(s.dtype.kind not in "biu" and not np.all(s % 1 == 0) for s in (j, k)):
+        raise ValueError(f"sites must be integers, got ({j}, {k})")
     shift = (j - k)[..., None]
     return mode_multiplicities(nodes) / nodes * np.cos(wave_numbers(nodes) * shift)
 

@@ -334,10 +334,10 @@ class TestArrayTables:
             lines = [line[1:-1] for line in body.split(",\n")]
         assert lines == [reference_cell(v, float, fmt) for v in x.tolist()]
 
-    @pytest.mark.parametrize("rows", [3, 199, 200, 4097, 9000])
+    @pytest.mark.parametrize("rows", [3, 127, 128, 199, 200, 4097, 9000])
     def test_both_routes_write_the_same_bytes(self, monkeypatch, rows):
         # on both sides of the size switch and across the row blocks: each
-        # table through the array and through one `%`
+        # table through the array and one value at a time
         rng = np.random.default_rng(rows)
         x = float_cases(rng)
         ints = np.array([0, 1, -1, 9999, 10**4, -(10**5), 123456, 2**63 - 1, -(2**63)])
@@ -360,7 +360,7 @@ class TestArrayTables:
 
     def test_large_map_bytes(self, tmp_path):
         # a map on the array route, written to files in both formats
-        assert len(error_map(30, dipolar_ratios(30), TimeWindow(30.0))[0].ravel()) >= 200
+        assert len(error_map(30, dipolar_ratios(30), TimeWindow(30.0))[0].ravel()) >= cli._ARRAY_ROWS
         for fmt in ("csv", "json"):
             out = tmp_path / f"map.{fmt}"
             assert run(["jmap", "--n", "30", "--format", fmt, "--out", str(out)]) == 0

@@ -777,6 +777,32 @@ class TestSameAmplitudes:
         np.testing.assert_array_equal(same, same_amplitudes_by_row(70, lam_ref, tail))
         assert not same.any()
 
+    def test_random_custom_rings(self):
+        """Every radius but the last of 300 seeded rings, N = 3..29, with
+        couplings on a half-integer grid, about half of them zero: rows of
+        exactly zero shifts, rows where modes swap frequencies and rows of
+        shifts of their own, all bit for bit the per-row mask."""
+        rng = np.random.default_rng(3)
+        masked = moved_masked = 0
+        for _ in range(300):
+            nodes = int(rng.integers(3, 30))
+            nf = max_neighbors(nodes)
+            couplings = rng.integers(-4, 5, nf) / 2.0
+            couplings[rng.random(nf) < 0.5] = 0.0
+            couplings[0] = 1.0
+            lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes),
+                                                CouplingProfile(tuple(couplings)))
+            shifts = shifts[:-1]
+            same = _same_amplitudes(nodes, lam_ref, shifts)
+            np.testing.assert_array_equal(same, same_amplitudes_by_row(nodes, lam_ref, shifts),
+                                          err_msg=f"N = {nodes}, couplings {couplings}")
+            g = mode_multiplicities(nodes) / nodes
+            rounding = 8.0 * nf**1.5 * np.finfo(float).eps
+            moved = (np.abs(shifts) > rounding * np.sqrt(shifts**2 @ g)[:, None]).any(axis=1)
+            masked += same.sum()
+            moved_masked += same[moved].sum()
+        assert masked > 0 and moved_masked > 0
+
 
 # couplings on a coarse grid whose reference spectrum has exactly degenerate
 # pairs: near a pole at every radius, so every tile flags entries
@@ -892,6 +918,6 @@ class TestPairOrder:
             entries = values[rows, chunk.pairs].copy()
             return entries, np.zeros(entries.shape, dtype=bool)
 
-        forms = pairs.map(np.zeros_like, np.cos, off_diagonal, None, shifts)
+        forms = pairs.map(0.0, np.cos, off_diagonal, None, shifts)
         h = np.array([sum(np.bincount(bins, v, nodes) for bins in pairs.bins) for v in values])
         np.testing.assert_allclose(forms, np.fft.rfft(h, axis=1).real, rtol=0.0, atol=1e-12)

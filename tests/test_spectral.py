@@ -94,6 +94,15 @@ class TestEigenvectors:
         with pytest.raises(ValueError):
             pair_mode_weights(6, 1, np.array([[0, 2]]))
 
+    def test_sites_must_be_integers(self):
+        """A half site is refused, not taken as an offset of half a site;
+        integral floats are sites like the integers they equal."""
+        for j, k in [(1.5, 1), (1, np.array([1.0, 2.5])), (np.array([[2, 3.25]]), 4)]:
+            with pytest.raises(ValueError, match="integers"):
+                pair_mode_weights(10, j, k)
+        np.testing.assert_array_equal(pair_mode_weights(10, np.array([1.0, 3.0]), 2.0),
+                                      pair_mode_weights(10, np.array([1, 3]), 2))
+
     def test_mode_bookkeeping(self):
         assert mode_count(6) == 4
         assert mode_count(5) == 3
