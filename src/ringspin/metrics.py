@@ -43,10 +43,13 @@ the class of its steps (`_near_difference`): with both steps short, as
 one pole-free integral that a twelve-node Gauss-Legendre rule takes to
 rounding, and otherwise as two single differences along the shorter step.
 The probability kernel sin(u3 T) / u3 comes from the same tables by angle
-addition.  Where modes swap frequencies, the pairs cancel each other only
-to rounding; an error whose numerator is within rounding is read as exactly
-0 where both amplitudes carry the same coefficient on every frequency
-(`_same_amplitudes`).
+addition.  The numerator of radius M rounds by at most about
+B_M = modes eps T min(1, T max_a |delta_a|)^2, the size of its largest
+product-rule term times its number of modes: an error whose numerator is
+within B_M reads as exactly 0, and every error is right to sqrt(B_M / den)
+absolute, den the reference power.  Where modes swap frequencies,
+T max |delta| is as large as T times a frequency gap, usually >= 1, and
+the pairs cancel each other only to that bound.
 
 Cost: per map, the N^2/2 sines and cosines of u0 T, the diagonal and the
 O(N) sines of delta T of every radius, and the near-pole entries, a few
@@ -79,7 +82,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import ChainSpec, CouplingProfile, max_neighbors
-from .spectral import eigenvalue_shifts, mode_count, mode_multiplicities, pair_mode_weights
+from .spectral import eigenvalue_shifts, mode_count, mode_multiplicities
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -469,53 +472,6 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _rms(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sqrt(x**2 @ g) over the last axis, with x first divided by a power of
-    two within a factor 2 of its largest entry: no square overflows, and
-    wherever the plain form neither overflows nor underflows the result is
-    the same bit for bit."""
-    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1] - 1)
-    return scale[..., 0] * np.sqrt((x / scale) ** 2 @ g)
-
-
-def _same_amplitudes(nodes: int, lam_ref: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Mask (rows of shifts, targets) of the amplitudes that equal the
-    reference amplitude term by term once equal frequencies are merged: the
-    coefficients of every frequency of lam_ref + shifts and of lam_ref add
-    up to the same sum.  Their error is exactly 0, which the product rule
-    cannot show when modes swap frequencies: its pairs then cancel each
-    other only to rounding.
-
-    A sum of nf terms 2 d_j cos(p j) rounds by at most about
-    nf eps sum_j 2|d_j| <= 2 nf^1.5 eps rms, rms = sqrt(sum_m g_m x_m^2) of
-    the summed row x, which by Parseval bounds the couplings' l2 norm.  So
-    frequencies of different modes that close are merged, and a shift that
-    small reads as 0.  A row where a shift above its rounding still leaves
-    a mode within merging distance of its own reference frequency, as the
-    tiny shifts of fast-decaying couplings do, is left unmasked."""
-    m = lam_ref.size
-    g = mode_multiplicities(nodes) / nodes
-    rounding = 8.0 * max_neighbors(nodes) ** 1.5 * _EPS
-    coef = pair_mode_weights(nodes, 1, np.arange(1, m + 1)).T  # g_a cos(p_a s), s < m
-    signed = np.concatenate((coef, -coef))
-    small = 4.0 * m * _EPS * g.max()  # a coefficient sum that reads as 0
-    merge = rounding * _rms(lam_ref, g)
-    moved = np.abs(shifts) > rounding * _rms(shifts, g)[:, None]
-    same = np.zeros(shifts.shape, dtype=bool)
-    # a mode moved by at most `merge` shares a group with its own reference
-    # frequency: every sorted gap between the two is at most its shift
-    for r in (~(moved & (np.abs(shifts) <= merge)).any(axis=1)).nonzero()[0]:
-        freq = np.concatenate((lam_ref + np.where(moved[r], shifts[r], 0.0), lam_ref))
-        order = np.argsort(freq)
-        new = np.diff(freq[order], prepend=-np.inf) > merge  # starts a group
-        group = np.empty(2 * m, dtype=np.intp)
-        group[order] = new.cumsum()
-        if not (moved[r] & (group[:m] == group[m:])).any():
-            sums = np.add.reduceat(signed[order], new.nonzero()[0], axis=0)
-            same[r] = (np.abs(sums) <= small).all(axis=0)
-    return same
-
-
 def _mode_errors(
     nodes: int, lam_ref: np.ndarray, shifts: np.ndarray, t_max: float
 ) -> np.ndarray:
@@ -532,18 +488,16 @@ def _mode_errors(
     bound = pairs.modes * _EPS * t_max
     if (_finite(den) <= bound).any():
         raise ValueError("degenerate window: reference amplitude has no power")
-    _finite(num)
-    low = num.min(axis=1)
-    if (low < -bound).any():
+    if (_finite(num) < -bound).any():
         raise ValueError("negative truncation-error power: the window integrals "
                          "lost their precision")
-    errors = np.sqrt(np.maximum(num, 0.0) / den)
-    # an exactly zero error shows as a num within rounding: test those rows
-    rows = (low <= bound).nonzero()[0]
-    if rows.size:
-        zero = (num[rows] <= bound) & _same_amplitudes(nodes, lam_ref, shifts[rows])
-        errors[rows] = np.where(zero, 0.0, errors[rows])
-    return errors
+    # each row's own bound: off the poles every product-rule term is at most
+    # about T min(1, T max|delta|)^2, since |A1| <= min(1, |delta| T),
+    # |A2| <= (delta T)^2 / 2 and 1/|u| <= T.  A num within it reads as an
+    # exact 0, so an error is right to sqrt(row bound / den) absolute and a
+    # nonzero one is never pure rounding
+    row_bound = bound * np.minimum(1.0, t_max * np.abs(shifts).max(axis=1)) ** 2
+    return np.where(num <= row_bound[:, None], 0.0, np.sqrt(np.maximum(num, 0.0) / den))
 
 
 def probability_map(

@@ -408,9 +408,9 @@ class TestCustomProfiles:
         assert run(["spectrum", "--n", "8", "--profile", "quadrupolar"]) == 2
 
     def test_huge_coupling_keeps_the_table(self, tmp_path, capsys):
-        # eigenvalues near 1e200: the merge distance of the exact-zero mask
-        # squared them, which overflowed (a RuntimeWarning, an error in this
-        # suite); the table is the one printed before, radii 2-4 exactly 0
+        # shifts near 1e200: the row rounding bound takes min(1, T max|delta|)
+        # before it squares it, since squaring T max|delta| first overflows
+        # (a RuntimeWarning, an error in this suite); radii 2-4 exactly 0
         path = tmp_path / "profile.txt"
         path.write_text("1\n1e200\n0\n0\n")
         assert run(["jmap", "--n", "8", "--profile", f"custom:{path}"]) == 0
