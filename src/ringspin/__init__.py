@@ -23,7 +23,6 @@ from .metrics import (
     probability_map,
     state_error,
 )
-from .oracle import DenseEigenResult, dense_eigen, expm_propagate, simpson_integral
 from .spectral import eigenvalues, evolve
 
 __version__ = "0.1.0"
@@ -31,22 +30,18 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainSpec",
     "CouplingProfile",
-    "DenseEigenResult",
     "ScaleFit",
     "ThresholdResult",
     "TimeWindow",
     "accuracy_threshold",
     "build_matrix",
-    "dense_eigen",
     "dipolar_ratios",
     "eigenvalues",
     "error_map",
     "evolve",
-    "expm_propagate",
     "fit_scale",
     "independent_targets",
     "max_neighbors",
     "probability_map",
-    "simpson_integral",
     "state_error",
 ]

@@ -46,7 +46,6 @@ from .metrics import (
     probability_map,
     state_error,
 )
-from .oracle import validation_checks
 from .spectral import eigenvalue_shifts, mode_multiplicities, wave_numbers
 
 __all__ = ["entry", "main"]
@@ -365,6 +364,7 @@ def cmd_fit(args) -> list[Table]:
 
 
 def cmd_validate(args) -> int:
+    from .oracle import validation_checks  # only validate loads the oracles
     checks = validation_checks(args.quad_step)
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "

@@ -42,8 +42,9 @@ four frequencies would divide by a small number; it is evaluated apart, by
 the class of its steps (`_near_difference`): with both steps short, as
 one pole-free integral that a twelve-node Gauss-Legendre rule takes to
 rounding, and otherwise as two single differences along the shorter step.
-The probability kernel sin(u3 T) / u3 comes from the same tables by angle
-addition.  The numerator of radius M rounds by at most about
+The probability kernel sin(u3 T) / u3 needs no pair tables: its sine is
+sin(lam_a T) cos(lam_b T) - cos(lam_a T) sin(lam_b T), lam = lam_ref + delta.
+The numerator of radius M rounds by at most about
 B_M = modes eps T min(1, T max_a |delta_a|)^2, the size of its largest
 product-rule term times its number of modes: an error whose numerator is
 within B_M reads as exactly 0, and every error is right to sqrt(B_M / den)
@@ -52,7 +53,7 @@ T max |delta| is as large as T times a frequency gap, usually >= 1, and
 the pairs cancel each other only to that bound.
 
 Cost: per map, the N^2/2 sines and cosines of u0 T, the diagonal and the
-O(N) sines of delta T of every radius, and the near-pole entries, a few
+O(N) per-mode tables of every radius, and the near-pole entries, a few
 dozen at the paper's lengths, in one batch (`_PairKernels`); per tile of
 (radius, pair) entries, O(N^2) products, a few quotients, a pole mask and
 the fold, so a (M, target) map is O(N^3) with no N^2 transcendental per
@@ -231,29 +232,29 @@ class _Chunk(NamedTuple):
 
 
 class _PairKernels:
-    """Window kernels of one map on the mode pairs, from trig tables of the
-    reference spectrum lam_ref, and their fold onto the independent targets.
+    """Window kernels of one map on the mode pairs, and their fold onto the
+    independent targets.
 
     The pairs a != b of the m modes are listed by cyclic offset: row
     d = 1..floor(m/2) holds {c, (c + d) mod m} for every c, only c < m/2 in
     the last row of an even m, so each unordered pair comes once and carries
     double weight, because every kernel here is symmetric.  The diagonal
-    a = b is kept apart.  The pair weights g_a g_b are folded into the
-    tables sin(u0 T), cos(u0 T) and sin(u0 T) / u0, so a kernel comes out
-    weighted.  Per map: these tables, also repeated over the rows of a block
-    so that no tile arithmetic broadcasts them; the diagonal and the tables
-    of delta of every radius, the latter written twice over along the modes
-    and read through a Hankel view, so that mode (c + d) mod m of row d is
-    column c + d; and the pole-free evaluation of every entry that a tile
-    flagged as near a pole.  Per tile, a block of radii times a chunk of
-    whole offset rows, at most max(TILE, m) entries: two copies, the
-    products, the pole mask and the fold.  Mode a of a row is the table
-    itself and mode b the table moved by d, so each side of a tile is one
-    copy of a broadcast or of the Hankel view, with no gather, and all
-    arithmetic runs on the contiguous copies.  Along row d, (a - b) mod N is
-    N - d while c + d < m and m - d after it, so the diff fold adds two run
-    sums per row: a weighted `bincount` of every entry would add to one bin
-    m times in a serial chain.  Every tile-sized array lives in a workspace
+    a = b is kept apart.  Per map: the pair tables of lam_ref that the error
+    kernel reads, u0 and, weighted by g_a g_b, sin(u0 T), cos(u0 T) and
+    sin(u0 T) / u0, also repeated over the rows of a block so that no tile
+    arithmetic broadcasts them; the diagonal and the per-mode tables of
+    every radius (`tables`), written twice over along the modes and read
+    through a Hankel view, so that mode (c + d) mod m of row d is column
+    c + d; and the pole-free evaluation of every entry that a tile flagged
+    as near a pole.  Per tile, a block of radii times a chunk of whole
+    offset rows, at most max(TILE, m) entries: two copies, the products,
+    the pole mask and the fold.  Mode a of a row is the table itself and
+    mode b the table moved by d, so each side of a tile is one copy of a
+    broadcast or of the Hankel view, with no gather, and all arithmetic
+    runs on the contiguous copies.  Along row d, (a - b) mod N is N - d
+    while c + d < m and m - d after it, so the diff fold adds two run sums
+    per row: a weighted `bincount` of every entry would add to one bin m
+    times in a serial chain.  Every tile-sized array lives in a workspace
     allocated once per map: allocating fresh arrays of that size per
     operation costs more than the arithmetic on them.
     """
@@ -275,9 +276,9 @@ class _PairKernels:
         self.u0 = u0 = (lam_ref - lam_ref[grid]).reshape(-1)[:size]
         self.abs_u0 = np.abs(u0)
         x = u0 * t_max
-        self.sin, self.cos = self.weights * np.sin(x), self.weights * np.cos(x)
+        sin, cos = self.weights * np.sin(x), self.weights * np.cos(x)
         # `_plain_kernel` of u0, on the same sine
-        self.sin_u0 = np.divide(self.sin, u0, out=t_max * self.weights,
+        self.sin_u0 = np.divide(sin, u0, out=t_max * self.weights,
                                 where=self.abs_u0 > DEGENERACY_TOL)
         per = max(1, TILE // m)  # offset rows per chunk
         chunk = min(size, per * m)
@@ -298,7 +299,7 @@ class _PairKernels:
         cut = offsets + full
         runs = (d * (m, m - 1) - (m, 0)).reshape(-1)[:cut]
         start = nodes * np.arange(self.rows)[:, None]
-        pair = np.array((u0, self.sin, self.cos, self.sin_u0))[:, None]
+        pair = np.array((u0, sin, cos, self.sin_u0))[:, None]
         self.chunks = []
         for lo in range(0, offsets, per):
             hi = min(lo + per, offsets)
@@ -307,17 +308,17 @@ class _PairKernels:
             self.chunks.append((_Chunk(c, slice(lo + 1, min(hi, full) + 1), hi > full, spread),
                                 runs[r] - c.start, start + bins[0, runs[r]], start + bins[1, c]))
 
-    def map(self, diagonal, second, off_diagonal, near, shifts: np.ndarray,
+    def map(self, diagonal, tables: np.ndarray, off_diagonal, near,
             reference: bool = False) -> np.ndarray:
-        """sum_ab c_a(s) c_b(s) K_ab for every row of shifts and every
-        target s, with K given by the `diagonal` values, which broadcast
-        against shifts, by off_diagonal(tables, chunk), which takes the
-        `tables` of a block with second(delta T) and returns weighted
-        entries with a mask of those near a pole, and by near(shifts, rows,
-        pairs), which evaluates the masked entries, unweighted, once per
-        map.  With `reference`, one row more: the form of the plain kernel
+        """sum_ab c_a(s) c_b(s) K_ab for every row of `tables` (method
+        `tables`) and every target s, with K given by the `diagonal` values,
+        which broadcast against the rows, by off_diagonal(tables, chunk),
+        which takes the tables of a block and returns weighted entries with a
+        mask of those near a pole, and by near(values, rows, pairs), which
+        evaluates the masked entries from the tabled values, unweighted, once
+        per map.  With `reference`, one row more: the form of the plain kernel
         of lam_ref, T on the diagonal and sin(u0 T) / u0 off it."""
-        radii = shifts.shape[0]
+        radii = tables.shape[1]
         h = np.zeros((radii + reference, self.nodes))
         kernel = np.full((radii + reference, self.modes), self.t_max)
         kernel[:radii] = diagonal
@@ -326,7 +327,6 @@ class _PairKernels:
                     start + self.diag_bins)
         if reference:
             _accumulate(h[radii], self.sin_u0, *self.bins)
-        tables = self.tables(shifts, second)
         flagged = []
         for r in range(0, radii, self.rows):
             block = tables[:, r : r + self.rows]
@@ -347,29 +347,27 @@ class _PairKernels:
             step = max(1, TILE // _GL_X.size)
             for i in range(0, rows.size, step):
                 r, p = rows[i : i + step], pairs[i : i + step]
-                _accumulate(h, near(shifts, r, p) * self.weights[p],
+                _accumulate(h, near(tables[0, :, 0], r, p) * self.weights[p],
                             *(self.bins[:, p] + self.nodes * r))
         return np.fft.rfft(h, axis=1).real
 
-    def tables(self, shifts: np.ndarray, second) -> np.ndarray:
-        """delta, sin(delta T) and second(delta T) of every mode for rows of
-        shifts, as a Hankel view of the tables written twice over along the
-        modes: [i, row, d, c] is table i of mode (c + d) mod m."""
-        n, m = shifts.shape[0], self.modes
-        x = shifts * self.t_max
+    def tables(self, values: np.ndarray, second, weight=1.0) -> np.ndarray:
+        """v, weight sin(v T) and weight second(v T) of every mode for rows
+        of values v, as a Hankel view of the tables written twice over along
+        the modes: [i, row, d, c] is table i of mode (c + d) mod m."""
+        n, m = values.shape[0], self.modes
+        x = values * self.t_max
         doubled = np.empty((3, n, 2 * m))
         head = doubled[:, :, :m]
-        head[0] = shifts
-        np.sin(x, out=head[1])
-        head[2] = second(x)
+        head[:] = values, weight * np.sin(x), weight * second(x)
         doubled[:, :, m:] = head
         step = doubled.strides
         return np.ndarray((3, n, m // 2 + 1, m), buffer=doubled, strides=(*step, step[2]))
 
     def _tile(self, tables: np.ndarray, chunk: _Chunk):
-        """Per pair of the chunk and row of the block: delta, sin(delta T)
-        and second(delta T) of mode a and of mode b, copied from the block's
-        `tables`, then the five free workspace arrays of the tile."""
+        """Per pair of the chunk and row of the block: the three tables of
+        mode a and of mode b, copied from the block's `tables`, then the five
+        free workspace arrays of the tile."""
         n, m = tables.shape[1], self.modes
         size = n * (chunk.pairs.stop - chunk.pairs.start)
         work = self._workspace[: 11 * size].reshape(11, n, -1)
@@ -384,29 +382,20 @@ class _PairKernels:
         return (at_a[0], at_b[0], at_a[1], at_b[1], at_a[2], at_b[2], *work[6:])
 
     def probability(self, tables: np.ndarray, chunk: _Chunk):
-        """K_ab = sin((lam_a - lam_b) T) / (lam_a - lam_b) for
-        lam = lam_ref + shifts, by angle addition on the tables:
-        sin(u3 T) = cos_b (S cos_a + C sin_a) + sin_b (S sin_a - C cos_a)."""
-        da, db, sa, sb, ca, cb, u3, x, y, *_ = self._tile(tables, chunk)
-        u0, s, c = chunk.spread[:3, : da.shape[0]]
-        np.add(u0, da, out=u3)
-        u3 -= db
-        np.multiply(s, ca, out=x)
-        np.multiply(c, sa, out=y)
-        x += y
-        x *= cb
-        np.multiply(s, sa, out=y)
-        y -= np.multiply(c, ca, out=ca)
-        y *= sb
-        x += y
-        x /= u3
-        return x, np.abs(u3, out=u3) < POLE_SPAN / self.t_max
+        """K_ab = sin((lam_a - lam_b) T) / (lam_a - lam_b), weighted, from
+        tables of lam with weight g and second cos:
+        (sin_a cos_b - cos_a sin_b) / (lam_a - lam_b)."""
+        la, lb, sa, sb, ca, cb, *_ = self._tile(tables, chunk)
+        sa *= cb
+        sa -= np.multiply(ca, sb, out=ca)
+        la -= lb
+        sa /= la
+        return sa, np.abs(la, out=la) < POLE_SPAN / self.t_max
 
-    def probability_near(self, shifts: np.ndarray, rows, pairs) -> np.ndarray:
-        """The plain quotient (T when degenerate) where |u3| T < POLE_SPAN:
-        there it loses nothing to the rounding of u0 T."""
-        u3 = self.u0[pairs] + shifts[rows, pairs % self.modes] - shifts[rows, self.ib[pairs]]
-        return _plain_kernel(u3, self.t_max)
+    def probability_near(self, lam: np.ndarray, rows, pairs) -> np.ndarray:
+        """The plain quotient (T when degenerate) where |u3| T < POLE_SPAN."""
+        return _plain_kernel(lam[rows, pairs % self.modes] - lam[rows, self.ib[pairs]],
+                             self.t_max)
 
     def error_diagonal(self, block: np.ndarray) -> np.ndarray:
         """K_aa = 2 (F(0) - F(delta_a)) = 2 T (1 - sinc(delta_a T))."""
@@ -479,8 +468,8 @@ def _mode_errors(
     lam_ref + each row of shifts against the reference spectrum lam_ref."""
     with np.errstate(all="ignore"):
         pairs = _PairKernels(nodes, lam_ref, t_max, shifts.shape[0])
-        forms = pairs.map(pairs.error_diagonal(shifts), _one_minus_cos, pairs.error,
-                          pairs.error_near, shifts, reference=True)
+        forms = pairs.map(pairs.error_diagonal(shifts), pairs.tables(shifts, _one_minus_cos),
+                          pairs.error, pairs.error_near, reference=True)
     num, den = forms[:-1], forms[-1]
     # a form rounds by up to about modes * eps * T (|K| <= T, weights
     # summing to 1): a target the reference never reaches shows as a den
@@ -511,7 +500,8 @@ def probability_map(
     lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
     with np.errstate(all="ignore"):
         pairs = _PairKernels(nodes, lam_ref, window.t_max, shifts.shape[0])
-        forms = pairs.map(pairs.t_max, np.cos, pairs.probability, pairs.probability_near, shifts)
+        tables = pairs.tables(lam_ref + shifts, np.cos, mode_multiplicities(nodes) / nodes)
+        forms = pairs.map(pairs.t_max, tables, pairs.probability, pairs.probability_near)
     return _finite(np.maximum(forms, 0.0) / window.t_max)
 
 

@@ -38,7 +38,7 @@ from .spectral import (_checked_states, _checked_tau, eigenvalue_shifts, evolve,
 
 __all__ = ["Check", "DenseEigenResult", "check_eigen", "check_perfect_transfer",
            "check_propagator", "check_quadrature", "dense_eigen", "expm_propagate",
-           "simpson_integral", "validation_checks"]
+           "validation_checks"]
 
 MAX_EIGEN_SIZE = 256
 MAX_PROPAGATE_SIZE = 64
@@ -95,22 +95,6 @@ def _simpson_step(count: int, t_max: float) -> float:
     if count < 3 or count % 2 == 0:
         raise ValueError(f"need an odd sample count >= 3, got {count}")
     return float(t_max) / (count - 1)
-
-
-def simpson_integral(samples, t_max: float):
-    """Composite Simpson rule for uniform samples of f over [0, t_max] along
-    the last axis, weights h/3 (1, 4, 2, 4, ..., 2, 4, 1): one integral per
-    leading index, a float for 1-D samples.
-
-    Requires an odd number of samples (even interval count).
-    """
-    y = np.asarray(samples, dtype=float)
-    count = y.shape[-1] if y.ndim else 0
-    h = _simpson_step(count, t_max)
-    weights = np.full(count, 2.0)
-    weights[1::2] = 4.0
-    weights[[0, -1]] = 1.0
-    return y @ (weights * (h / 3.0))
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from ringspin.metrics import (
 )
 from ringspin.metrics import (GL_SPAN, _mode_errors, _one_minus_cos, _one_minus_sinc,
                               _PairKernels, _plain_kernel)
-from ringspin.oracle import simpson_integral
 from ringspin.spectral import (eigenvalue_shifts, evolve, mode_count, mode_multiplicities,
                                pair_mode_weights, wave_numbers)
+from simpson import simpson_integral
 
 # (1/T) int_0^T cos^4 tau dtau at T = 4, by the antiderivative
 # 3 tau/8 + sin(2 tau)/4 + sin(4 tau)/32
@@ -373,6 +373,17 @@ class TestHighPrecisionOracle:
         np.testing.assert_allclose(got_errors[:-1, cols], errors[:-1], rtol=1e-10, atol=0.0)
         assert np.all(got_errors[-1] == 0.0)
         np.testing.assert_allclose(probability_map(nodes, profile, window)[:, cols], probs,
+                                   rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("nodes", [9, 12, 13, 20])
+    @pytest.mark.parametrize("factor", [100.0, 1000.0])
+    def test_probabilities_at_long_windows(self, nodes, factor):
+        """Windows of 100 N and 1000 N, where the probability kernel rounds
+        sines of lam T up to T = 20000."""
+        profile, window = dipolar_ratios(nodes), TimeWindow(factor * nodes)
+        targets = independent_targets(nodes)
+        probs, _ = exact_maps(nodes, profile.ratios, window.t_max, targets)
+        np.testing.assert_allclose(probability_map(nodes, profile, window), probs,
                                    rtol=0.0, atol=1e-14)
 
     @given(nodes=st.integers(3, 14),
@@ -862,6 +873,6 @@ class TestPairOrder:
             entries = values[rows, chunk.pairs].copy()
             return entries, np.zeros(entries.shape, dtype=bool)
 
-        forms = pairs.map(0.0, np.cos, off_diagonal, None, shifts)
+        forms = pairs.map(0.0, pairs.tables(shifts, np.cos), off_diagonal, None)
         h = np.array([sum(np.bincount(bins, v, nodes) for bins in pairs.bins) for v in values])
         np.testing.assert_allclose(forms, np.fft.rfft(h, axis=1).real, rtol=0.0, atol=1e-12)

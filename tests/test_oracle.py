@@ -7,8 +7,9 @@ from ringspin import oracle
 from ringspin.chain import (ChainSpec, CouplingProfile, build_matrix, dipolar_ratios,
                             max_neighbors)
 from ringspin.metrics import independent_targets
-from ringspin.oracle import dense_eigen, expm_propagate, simpson_integral
+from ringspin.oracle import dense_eigen, expm_propagate
 from ringspin.spectral import eigenvalue_shifts, eigenvalues, evolve, pair_mode_weights
+from simpson import simpson_integral
 
 HALF_SQRT2 = 2.0**-1.5
 

@@ -1,5 +1,8 @@
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +17,12 @@ def test_every_all_entry_resolves(module):
     benchmark's tracer (`getattr` over each layer's `__all__`) need it."""
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_cli_import_leaves_the_oracles_unloaded():
+    """Only `ringspin validate` uses the brute-force routes, so importing the
+    CLI neither compiles nor loads `ringspin.oracle`."""
+    src = str(Path(ringspin.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ringspin.cli; "
+            "assert 'ringspin.oracle' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
