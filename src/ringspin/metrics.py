@@ -52,16 +52,16 @@ absolute, den the reference power.  Where modes swap frequencies,
 T max |delta| is as large as T times a frequency gap, usually >= 1, and
 the pairs cancel each other only to that bound.
 
-Cost: per map, the N^2/2 sines and cosines of u0 T, the diagonal and the
-O(N) per-mode tables of every radius, and the near-pole entries, a few
-dozen at the paper's lengths, in one batch (`_PairKernels`); per tile of
-(radius, pair) entries, O(N^2) products, a few quotients, a pole mask and
-the fold, so a (M, target) map is O(N^3) with no N^2 transcendental per
-radius.  At N <= 71 a map is one or two tiles, whose arithmetic takes a
-tenth (N = 20) to a third (N = 70) of it; the rest is the setup, the
-near-pole batch, the folds and the FFT, NumPy calls on small arrays.  The
-per-mode tables reach a tile by two contiguous copies, never by a gather,
-and a map's blocks of radii are as even as their number allows.
+Cost: per map, the diagonal and the O(N) per-mode tables of every radius,
+the near-pole entries, a few dozen at the paper's lengths, in one batch,
+and for an error map the N^2/2 sines and cosines of u0 T (`_PairKernels`);
+per tile of (radius, pair) entries, O(N^2) products, a few quotients, a
+pole mask and the fold, so a (M, target) map is O(N^3) with no N^2
+transcendental per radius.  At N <= 71 a map is one or two tiles, whose
+arithmetic takes a tenth (N = 20) to a third (N = 70) of it; the rest is
+the setup, the near-pole batch, the folds and the FFT, NumPy calls on small
+arrays.  The per-mode tables reach a tile by two contiguous copies, never
+by a gather, and a map's blocks of radii are as even as their number allows.
 Mirror symmetry makes targets n and N+2-n equivalent, so only
 n = 1..max_neighbors+1 are computed; the mode multiplicities weight them
 back to the full-ring average (targets and modes are the same reflection
@@ -228,7 +228,7 @@ class _Chunk(NamedTuple):
     pairs: slice  # its range of pairs
     offsets: slice  # the offsets d of its rows of m pairs
     half: bool  # whether it ends with the half row d = m/2 of an even m
-    spread: np.ndarray  # u0, S, C and S / u0 of its pairs, each repeated over the block rows
+    spread: np.ndarray | None  # error maps: u0, S, C and S / u0 of its pairs, over the block rows
 
 
 class _PairKernels:
@@ -239,8 +239,8 @@ class _PairKernels:
     d = 1..floor(m/2) holds {c, (c + d) mod m} for every c, only c < m/2 in
     the last row of an even m, so each unordered pair comes once and carries
     double weight, because every kernel here is symmetric.  The diagonal
-    a = b is kept apart.  Per map: the pair tables of lam_ref that the error
-    kernel reads, u0 and, weighted by g_a g_b, sin(u0 T), cos(u0 T) and
+    a = b is kept apart.  Per map: the pair tables of lam_ref, which only
+    error maps build, u0 and, weighted by g_a g_b, sin(u0 T), cos(u0 T) and
     sin(u0 T) / u0, also repeated over the rows of a block so that no tile
     arithmetic broadcasts them; the diagonal and the per-mode tables of
     every radius (`tables`), written twice over along the modes and read
@@ -259,27 +259,19 @@ class _PairKernels:
     operation costs more than the arithmetic on them.
     """
 
-    def __init__(self, nodes: int, lam_ref: np.ndarray, t_max: float, radii: int):
-        """Tables for maps of at most `radii` rows of shifts."""
+    def __init__(self, nodes: int, t_max: float, radii: int, lam_ref: np.ndarray | None = None):
+        """Pair layout for maps of up to `radii` rows; with lam_ref, an error map's pair tables."""
         self.nodes, self.modes, self.t_max = nodes, mode_count(nodes), t_max
         m, size = self.modes, self.modes * (self.modes - 1) // 2
         offsets, full = m // 2, (m - 1) // 2  # rows, and rows of m pairs
-        # pair i is entry [d - 1, c] of the offset-by-mode grid, c = i % m;
-        # mode b, (c + d) mod m, is a Hankel view of the modes listed twice
+        # pair i is entry [d - 1, c] of the offset-by-mode grid, c = i % m,
+        # whose mode b is (c + d) mod m
         k, d = np.arange(m), np.arange(1, offsets + 1)[:, None]
-        twice = np.concatenate((k, k))
-        grid = np.ndarray((offsets, m), twice.dtype, twice, twice.itemsize, 2 * twice.strides)
+        grid = (k + d) % m
         self.ib = grid.reshape(-1)[:size]
         g = mode_multiplicities(nodes) / nodes
         self.weights = (g * g[grid]).reshape(-1)[:size]
         self.diag_weights = 0.5 * g * g
-        self.u0 = u0 = (lam_ref - lam_ref[grid]).reshape(-1)[:size]
-        self.abs_u0 = np.abs(u0)
-        x = u0 * t_max
-        sin, cos = self.weights * np.sin(x), self.weights * np.cos(x)
-        # `_plain_kernel` of u0, on the same sine
-        self.sin_u0 = np.divide(sin, u0, out=t_max * self.weights,
-                                where=self.abs_u0 > DEGENERACY_TOL)
         per = max(1, TILE // m)  # offset rows per chunk
         chunk = min(size, per * m)
         # radii per block: the fewest blocks of at most TILE entries, each as
@@ -299,26 +291,34 @@ class _PairKernels:
         cut = offsets + full
         runs = (d * (m, m - 1) - (m, 0)).reshape(-1)[:cut]
         start = nodes * np.arange(self.rows)[:, None]
-        pair = np.array((u0, sin, cos, self.sin_u0))[:, None]
+        self.reference = lam_ref is not None
+        if self.reference:
+            self.u0 = u0 = (lam_ref - lam_ref[grid]).reshape(-1)[:size]
+            self.abs_u0 = np.abs(u0)
+            x = u0 * t_max
+            sin, cos = self.weights * np.sin(x), self.weights * np.cos(x)
+            # `_plain_kernel` of u0, on the same sine
+            self.sin_u0 = np.divide(sin, u0, out=t_max * self.weights,
+                                    where=self.abs_u0 > DEGENERACY_TOL)
+            pair = np.array((u0, sin, cos, self.sin_u0))[:, None]
         self.chunks = []
         for lo in range(0, offsets, per):
             hi = min(lo + per, offsets)
             c, r = slice(lo * m, min(hi * m, size)), slice(2 * lo, min(2 * hi, cut))
-            spread = pair[..., c].repeat(self.rows, axis=1)
+            spread = pair[..., c].repeat(self.rows, axis=1) if self.reference else None
             self.chunks.append((_Chunk(c, slice(lo + 1, min(hi, full) + 1), hi > full, spread),
                                 runs[r] - c.start, start + bins[0, runs[r]], start + bins[1, c]))
 
-    def map(self, diagonal, tables: np.ndarray, off_diagonal, near,
-            reference: bool = False) -> np.ndarray:
+    def map(self, diagonal, tables: np.ndarray, off_diagonal, near) -> np.ndarray:
         """sum_ab c_a(s) c_b(s) K_ab for every row of `tables` (method
         `tables`) and every target s, with K given by the `diagonal` values,
         which broadcast against the rows, by off_diagonal(tables, chunk),
         which takes the tables of a block and returns weighted entries with a
         mask of those near a pole, and by near(values, rows, pairs), which
         evaluates the masked entries from the tabled values, unweighted, once
-        per map.  With `reference`, one row more: the form of the plain kernel
-        of lam_ref, T on the diagonal and sin(u0 T) / u0 off it."""
-        radii = tables.shape[1]
+        per map.  Kernels built with lam_ref add one row: the form of the
+        plain kernel of lam_ref, T on the diagonal and sin(u0 T) / u0 off it."""
+        radii, reference = tables.shape[1], self.reference
         h = np.zeros((radii + reference, self.nodes))
         kernel = np.full((radii + reference, self.modes), self.t_max)
         kernel[:radii] = diagonal
@@ -467,9 +467,9 @@ def _mode_errors(
     """Truncation errors (columns: independent targets) of the spectra
     lam_ref + each row of shifts against the reference spectrum lam_ref."""
     with np.errstate(all="ignore"):
-        pairs = _PairKernels(nodes, lam_ref, t_max, shifts.shape[0])
+        pairs = _PairKernels(nodes, t_max, shifts.shape[0], lam_ref)
         forms = pairs.map(pairs.error_diagonal(shifts), pairs.tables(shifts, _one_minus_cos),
-                          pairs.error, pairs.error_near, reference=True)
+                          pairs.error, pairs.error_near)
     num, den = forms[:-1], forms[-1]
     # a form rounds by up to about modes * eps * T (|K| <= T, weights
     # summing to 1): a target the reference never reaches shows as a den
@@ -499,7 +499,7 @@ def probability_map(
     """
     lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(nodes), profile)
     with np.errstate(all="ignore"):
-        pairs = _PairKernels(nodes, lam_ref, window.t_max, shifts.shape[0])
+        pairs = _PairKernels(nodes, window.t_max, shifts.shape[0])
         tables = pairs.tables(lam_ref + shifts, np.cos, mode_multiplicities(nodes) / nodes)
         forms = pairs.map(pairs.t_max, tables, pairs.probability, pairs.probability_near)
     return _finite(np.maximum(forms, 0.0) / window.t_max)

@@ -36,9 +36,8 @@ from .metrics import TimeWindow, error_map, independent_targets, probability_map
 from .spectral import (_checked_states, _checked_tau, eigenvalue_shifts, evolve,
                        mode_multiplicities, pair_mode_weights)
 
-__all__ = ["Check", "DenseEigenResult", "check_eigen", "check_perfect_transfer",
-           "check_propagator", "check_quadrature", "dense_eigen", "expm_propagate",
-           "validation_checks"]
+__all__ = ["Check", "check_eigen", "check_perfect_transfer", "check_propagator",
+           "check_quadrature", "dense_eigen", "expm_propagate", "validation_checks"]
 
 MAX_EIGEN_SIZE = 256
 MAX_PROPAGATE_SIZE = 64
@@ -49,16 +48,11 @@ MAX_QUAD_SAMPLES = 200_000
 GROUP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class DenseEigenResult:
-    values: np.ndarray    # (..., N), ascending along the last axis
-    vectors: np.ndarray   # (..., N, N), orthogonal, column i pairs with values[..., i]
-
-
-def dense_eigen(matrix) -> DenseEigenResult:
+def dense_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Full decomposition of a real symmetric matrix, or of each matrix of a
-    stack (..., N, N), in one LAPACK call; eigenvalues ascend.  A non-square,
-    oversize, non-finite or non-symmetric matrix is refused before LAPACK."""
+    stack (..., N, N), in one LAPACK call: `np.linalg.eigh`'s ascending
+    eigenvalues and eigenvectors.  A non-square, oversize, non-finite or
+    non-symmetric matrix is refused before LAPACK."""
     A = np.asarray(matrix, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
@@ -69,8 +63,7 @@ def dense_eigen(matrix) -> DenseEigenResult:
     scale = np.maximum(np.abs(A).max(axis=(-2, -1)), 1.0)
     if np.any(np.abs(A - A.swapaxes(-2, -1)).max(axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("matrix is not symmetric")
-    values, vectors = np.linalg.eigh(A)
-    return DenseEigenResult(values=values, vectors=vectors)
+    return np.linalg.eigh(A)
 
 
 def expm_propagate(matrix, initial, tau) -> np.ndarray:
@@ -85,8 +78,8 @@ def expm_propagate(matrix, initial, tau) -> np.ndarray:
         raise ValueError(f"oracle limited to {MAX_PROPAGATE_SIZE} sites")
     v = _checked_states(initial, shape[-1])
     t = _checked_tau(tau)[..., None]
-    eig = dense_eigen(matrix)
-    return ((v @ eig.vectors) * np.exp(-1j * eig.values * t)) @ eig.vectors.T
+    values, vectors = dense_eigen(matrix)
+    return ((v @ vectors) * np.exp(-1j * values * t)) @ vectors.T
 
 
 def _simpson_step(count: int, t_max: float) -> float:
@@ -136,12 +129,11 @@ def check_eigen() -> tuple[Check, Check]:
         shift = np.abs(sites[:, None] - sites)
         # the generator of radius M is the full one with cyclic distances beyond M zeroed
         within = np.minimum(shift, nodes - shift) <= np.arange(1, len(table) + 1)[:, None, None]
-        oracle = dense_eigen(np.where(within, build_matrix(full, profile), 0.0))
+        values, V = dense_eigen(np.where(within, build_matrix(full, profile), 0.0))
         closed_values = np.sort(np.repeat(table, mode_multiplicities(nodes), axis=1), axis=1)
-        worst_val = max(worst_val, float(np.abs(closed_values - oracle.values).max()))
-        (closed, closed_counts), (brute, brute_counts) = map(_eigenspaces, (table, oracle.values))
+        worst_val = max(worst_val, float(np.abs(closed_values - values).max()))
+        (closed, closed_counts), (brute, brute_counts) = map(_eigenspaces, (table, values))
         P = pair_mode_weights(nodes, sites[:, None], sites).reshape(nodes**2, -1)
-        V = oracle.vectors
         VV = (V[:, :, None, :] * V[:, None, :, :]).reshape(len(V), nodes**2, nodes)
         worst_proj = max(worst_proj, float(np.abs(P @ closed - VV @ brute).max())
                          if np.array_equal(closed_counts, brute_counts) else math.inf)

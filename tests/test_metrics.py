@@ -379,12 +379,17 @@ class TestHighPrecisionOracle:
     @pytest.mark.parametrize("factor", [100.0, 1000.0])
     def test_probabilities_at_long_windows(self, nodes, factor):
         """Windows of 100 N and 1000 N, where the probability kernel rounds
-        sines of lam T up to T = 20000."""
-        profile, window = dipolar_ratios(nodes), TimeWindow(factor * nodes)
-        targets = independent_targets(nodes)
-        probs, _ = exact_maps(nodes, profile.ratios, window.t_max, targets)
-        np.testing.assert_allclose(probability_map(nodes, profile, window), probs,
-                                   rtol=0.0, atol=1e-14)
+        sines of lam T and the error kernel sines and cosines of u0 T, up to
+        T = 20000, on the dipolar and the steep profile; the full radius has
+        error exactly 0."""
+        window, targets = TimeWindow(factor * nodes), independent_targets(nodes)
+        for profile in (dipolar_ratios(nodes), steep_profile(nodes)):
+            probs, errors = exact_maps(nodes, profile.ratios, window.t_max, targets)
+            np.testing.assert_allclose(probability_map(nodes, profile, window), probs,
+                                       rtol=0.0, atol=1e-14)
+            got_errors, _ = error_map(nodes, profile, window)
+            np.testing.assert_allclose(got_errors[:-1], errors[:-1], rtol=1e-10, atol=0.0)
+            assert np.all(got_errors[-1] == 0.0)
 
     @given(nodes=st.integers(3, 14),
            couplings=st.lists(st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]),
@@ -473,7 +478,7 @@ def pair_kernel(u0, alpha, beta, t_max):
     """The error kernel of one pair as the maps compute it: the product form
     of a two-mode spectrum, or its pole-free evaluation where the tile mask
     flags the pair as near a pole."""
-    pairs = _PairKernels(3, np.array([u0, 0.0]), t_max, 1)
+    pairs = _PairKernels(3, t_max, 1, np.array([u0, 0.0]))
     shifts = np.array([[alpha, -beta]])
     with np.errstate(all="ignore"):
         values, near = pairs.error(pairs.tables(shifts, _one_minus_cos), pairs.chunks[0][0])
@@ -794,7 +799,7 @@ class TestTilePartition:
         half_rows = set()
         for tile in tilings(nodes):
             monkeypatch.setattr(metrics, "TILE", tile)
-            last = _PairKernels(nodes, np.zeros(m), 1.0, 1).chunks[-1][0]
+            last = _PairKernels(nodes, 1.0, 1).chunks[-1][0]
             half_rows.add((last.half, last.pairs.stop - last.pairs.start == m // 2))
             np.testing.assert_allclose(error_map(nodes, profile, window)[0], errors,
                                        rtol=1e-14, atol=0.0)
@@ -812,7 +817,7 @@ class TestTilePartition:
         a map takes no more blocks than tiles of that size need, and its
         blocks are as small as that number allows (34 radii at N = 70: two
         blocks of 17, not 26 and 8)."""
-        pairs = _PairKernels(nodes, np.zeros(mode_count(nodes)), 1.0, radii)
+        pairs = _PairKernels(nodes, 1.0, radii)
         width = max(chunk.pairs.stop - chunk.pairs.start for chunk, *_ in pairs.chunks)
         assert pairs.rows * width <= max(metrics.TILE, mode_count(nodes))
         blocks = -(-radii // max(1, metrics.TILE // width))
@@ -822,7 +827,7 @@ class TestTilePartition:
         """Pairs with an exactly degenerate reference are flagged near a
         pole at every radius."""
         lam_ref, shifts = eigenvalue_shifts(ChainSpec.all_neighbors(16), DEGENERATE_PROFILE)
-        pairs = _PairKernels(16, lam_ref, 16.0, shifts.shape[0])
+        pairs = _PairKernels(16, 16.0, shifts.shape[0], lam_ref)
         static = pairs.u0 == 0.0
         assert np.any(static) and len(pairs.chunks) == 1
         with np.errstate(all="ignore"):
@@ -840,7 +845,7 @@ class TestPairOrder:
             for nodes in (2 * m - 2, 2 * m - 1):
                 if nodes < 3:
                     continue
-                pairs = _PairKernels(nodes, np.zeros(m), 1.0, 1)
+                pairs = _PairKernels(nodes, 1.0, 1)
                 b = pairs.ib
                 a = np.arange(b.size) % m  # pair i, in offset row i // m + 1, has mode a = i % m
                 assert mode_count(nodes) == m and a.size == m * (m - 1) // 2
@@ -863,7 +868,7 @@ class TestPairOrder:
         with several rows per block (one chunk) or several chunks per row."""
         monkeypatch.setattr(metrics, "TILE", tile)
         m, radii = mode_count(nodes), 9
-        pairs = _PairKernels(nodes, 10.0 * np.arange(m), 1.0, radii)
+        pairs = _PairKernels(nodes, 1.0, radii)
         assert pairs.rows > 1 if len(pairs.chunks) == 1 else pairs.rows == 1
         values = np.random.default_rng(nodes).standard_normal((radii, pairs.ib.size))
         shifts = np.repeat(np.arange(radii, dtype=float)[:, None], m, axis=1)

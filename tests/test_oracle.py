@@ -20,27 +20,27 @@ COS4_INTEGRAL_T4 = 1.5 + math.sin(8.0) / 4.0 + math.sin(16.0) / 32.0
 class TestDenseEigen:
     def test_square_ring_nearest_neighbor(self):
         G = build_matrix(ChainSpec(4, 1), dipolar_ratios(4))
-        result = dense_eigen(G)
-        np.testing.assert_allclose(result.values, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
+        values, _ = dense_eigen(G)
+        np.testing.assert_allclose(values, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     def test_scaled_identity(self):
-        result = dense_eigen(3.0 * np.eye(5))
-        np.testing.assert_allclose(result.values, 3.0)
+        values, _ = dense_eigen(3.0 * np.eye(5))
+        np.testing.assert_allclose(values, 3.0)
 
     def test_matches_closed_form_on_full_range(self):
         spec = ChainSpec(4, 2)
         profile = dipolar_ratios(4)
-        result = dense_eigen(build_matrix(spec, profile))
+        values, _ = dense_eigen(build_matrix(spec, profile))
         expected = [-2.0 + HALF_SQRT2, -HALF_SQRT2, -HALF_SQRT2, 2.0 + HALF_SQRT2]
-        np.testing.assert_allclose(result.values, expected, atol=1e-12)
+        np.testing.assert_allclose(values, expected, atol=1e-12)
         np.testing.assert_allclose(
-            result.values, np.sort(eigenvalues(spec, profile)), atol=1e-12
+            values, np.sort(eigenvalues(spec, profile)), atol=1e-12
         )
 
     def test_reconstruction(self):
         G = build_matrix(ChainSpec(12, 5), dipolar_ratios(12))
-        result = dense_eigen(G)
-        rebuilt = result.vectors @ np.diag(result.values) @ result.vectors.T
+        values, vectors = dense_eigen(G)
+        rebuilt = vectors @ np.diag(values) @ vectors.T
         assert np.abs(G - rebuilt).max() <= 1e-10
 
     def test_rejects_nonsymmetric(self):
@@ -78,19 +78,19 @@ class TestDenseEigen:
         stack = np.stack([build_matrix(ChainSpec(nodes, m), profile)
                           for m in range(1, max_neighbors(nodes) + 1)])
         stack = np.stack([stack, 2.0 * stack[::-1]])  # (2, radii, N, N)
-        result = dense_eigen(stack)
-        assert result.values.shape == stack.shape[:-1]
-        assert result.vectors.shape == stack.shape
+        values, vectors = dense_eigen(stack)
+        assert values.shape == stack.shape[:-1]
+        assert vectors.shape == stack.shape
         for index in np.ndindex(stack.shape[:-2]):
-            single = dense_eigen(stack[index])
-            np.testing.assert_allclose(result.values[index], single.values, rtol=0, atol=1e-13)
+            single_values, single_vectors = dense_eigen(stack[index])
+            np.testing.assert_allclose(values[index], single_values, rtol=0, atol=1e-13)
             # eigenvectors of a degenerate eigenvalue are fixed only up to a
             # rotation, so compare the projector onto each eigenspace
-            spaces, counts = oracle._eigenspaces(single.values[None])
+            spaces, counts = oracle._eigenspaces(single_values[None])
             for space in spaces[0].T[: counts[0]]:
                 columns = space.astype(bool)
-                stacked = result.vectors[index][:, columns]
-                alone = single.vectors[:, columns]
+                stacked = vectors[index][:, columns]
+                alone = single_vectors[:, columns]
                 np.testing.assert_allclose(stacked @ stacked.T, alone @ alone.T,
                                            rtol=0, atol=1e-12)
 
