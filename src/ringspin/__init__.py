@@ -13,7 +13,7 @@ from .chain import (
     dipolar_ratios,
     max_neighbors,
 )
-from .fitting import ScaleFit, fit_scale
+from .fitting import fit_scale
 from .metrics import (
     ThresholdResult,
     TimeWindow,
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainSpec",
     "CouplingProfile",
-    "ScaleFit",
     "ThresholdResult",
     "TimeWindow",
     "accuracy_threshold",

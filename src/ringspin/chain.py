@@ -104,6 +104,16 @@ def dipolar_ratios(nodes: int) -> CouplingProfile:
     return CouplingProfile(ratios, kind="dipolar")
 
 
+def _radius_ratios(spec: ChainSpec, profile: CouplingProfile) -> tuple[float, ...]:
+    """d_1..d_M of `profile` for the radius M of `spec`; refused when the
+    profile lists fewer couplings than that radius reaches."""
+    if len(profile) < spec.neighbors:
+        raise ValueError(
+            f"profile has {len(profile)} couplings but neighbors={spec.neighbors}"
+        )
+    return profile.ratios[: spec.neighbors]
+
+
 def build_matrix(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
     """Dense symmetric circulant generator of the one-excitation dynamics.
 
@@ -112,16 +122,11 @@ def build_matrix(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
     is zero.  Used as the reference path for oracle checks; production
     dynamics goes through the closed-form spectrum instead.
     """
-    if len(profile) < spec.neighbors:
-        raise ValueError(
-            f"profile has {len(profile)} couplings but neighbors={spec.neighbors}"
-        )
     n = spec.nodes
     idx = np.arange(n)
     dist = np.abs(idx[:, None] - idx[None, :])
     dist = np.minimum(dist, n - dist)
     # dist never exceeds n//2, so one lookup row covers every band
     lookup = np.zeros(n // 2 + 1)
-    m = spec.neighbors
-    lookup[1 : m + 1] = profile.ratios[:m]
+    lookup[1 : spec.neighbors + 1] = _radius_ratios(spec, profile)
     return lookup[dist]

@@ -11,17 +11,19 @@ fit         per chain length, the scale kappa of the mean error curve
             2..max_neighbors-1, and the rms of its residuals
 validate    the `oracle` checks of the closed form; nonzero exit on failure
 
-A table is a name and its columns, one 1-D array or sequence each, and it
-is formatted straight from them: a table of at least 128 rows from one byte
-array of fixed-slot cells with NUL in the unused slots, dropped by one
-bytes.translate, and a smaller one value at a time by `%`.  The array
-rounds the digits itself for 1e-30 <= |x| < 1e15 and leaves other values
-and exact ties to `%`, so both give the bytes of `%d` and `%.15g`.
-Values are written with 15 significant digits in both formats, so CSV and
-JSON parse back to identical numbers; JSON writes one row per line, and a
-float column stays a JSON float even where its value is integral.  A value
-that is not finite is refused in both formats.  Exit codes: 0 success,
-1 validation failure, 2 bad configuration.
+A table is a name and its columns, as a dict: a command returns
+{table name: {column name: values}} in output order, one 1-D array or
+sequence per column, and each table is formatted straight from its
+columns: one of at least 128 rows from one byte array of fixed-slot cells
+with NUL in the unused slots, dropped by one bytes.translate, and a smaller
+one value at a time by `%`.  The array rounds the digits itself for
+1e-30 <= |x| < 1e15 and leaves other values and exact ties to `%`, so both
+give the bytes of `%d` and `%.15g`.  Values are written with 15
+significant digits in both formats, so CSV and JSON parse back to identical
+numbers; JSON writes one row per line, and a float column stays a JSON
+float even where its value is integral.  A value that is not finite is
+refused in both formats.  Exit codes: 0 success, 1 validation failure,
+2 bad configuration.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,14 +52,6 @@ __all__ = ["entry", "main"]
 
 
 _LARGEST_FINITE_TEXT = 1.797693134862315e308  # larger floats print as 1.79769313486232e+308 = inf
-
-
-@dataclass
-class Table:
-    """A named table: column name -> 1-D array or sequence of its values."""
-
-    name: str
-    columns: dict[str, Sequence]
 
 
 def _words(texts) -> np.ndarray:
@@ -229,44 +221,44 @@ def _float_texts(values: np.ndarray, fmt: str) -> list[str]:
     return texts if fmt == "csv" else [s + ".0" if s.lstrip("-").isdigit() else s for s in texts]
 
 
-def _body(t: Table, fmt: str) -> str:
+def _body(name: str, columns: dict, fmt: str) -> str:
     """All rows as text: `%d` for an integer column, `%.15g` (`_float_texts`)
     for a float column.  Both formats refuse a non-finite float.  A table of
     at least _ARRAY_ROWS rows is written from one byte array and a smaller
     one value by value; both give the same bytes."""
-    columns = [np.asarray(c) for c in t.columns.values()]
-    columns = [c if c.dtype.kind in "biu" else np.asarray(c, dtype=float) for c in columns]
-    for name, c in zip(t.columns, columns):
+    arrays = [np.asarray(c) for c in columns.values()]
+    arrays = [c if c.dtype.kind in "biu" else np.asarray(c, dtype=float) for c in arrays]
+    for column, c in zip(columns, arrays):
         if c.dtype.kind == "f" and not (np.abs(c) <= _LARGEST_FINITE_TEXT).all():
-            raise ValueError(f"table {t.name!r}, column {name!r}: value is not finite")
-    if len(columns[0]) >= _ARRAY_ROWS:
-        return _array_body(columns, fmt)
+            raise ValueError(f"table {name!r}, column {column!r}: value is not finite")
+    if len(arrays[0]) >= _ARRAY_ROWS:
+        return _array_body(arrays, fmt)
     cells = [list(map("%d".__mod__, c.tolist())) if c.dtype.kind in "biu"
-             else _float_texts(c, fmt) for c in columns]
+             else _float_texts(c, fmt) for c in arrays]
     head, sep, tail = ("", ",", "\r\n") if fmt == "csv" else ("[", ", ", "]")
     return ("" if fmt == "csv" else ",\n").join(head + sep.join(row) + tail
                                                  for row in zip(*cells))
 
 
-def _emit(tables: list[Table], fmt: str, out: str | None) -> None:
-    bodies = [_body(t, fmt) for t in tables]
+def _emit(tables: dict[str, dict], fmt: str, out: str | None) -> None:
     if fmt == "json":  # the object json.dumps would give, one row per line
         texts = ["{" + ",\n".join(
-            f'{json.dumps(t.name)}: {{"columns": {json.dumps([*t.columns])}, '
-            f'"rows": [\n{body}\n]}}'
-            for t, body in zip(tables, bodies)) + "}\n"]
+            f'{json.dumps(name)}: {{"columns": {json.dumps([*columns])}, '
+            f'"rows": [\n{_body(name, columns, fmt)}\n]}}'
+            for name, columns in tables.items()) + "}\n"]
     else:  # csv: primary table to `out`, companions to <stem>_<name><suffix>
-        texts = [",".join(t.columns) + "\r\n" + body for t, body in zip(tables, bodies)]
-    for i, (t, text) in enumerate(zip(tables, texts)):
+        texts = [",".join(columns) + "\r\n" + _body(name, columns, fmt)
+                 for name, columns in tables.items()]
+    for i, (name, text) in enumerate(zip(tables, texts)):
         if out:
             path = Path(out) if i == 0 else Path(out).with_name(
-                f"{Path(out).stem}_{t.name}{Path(out).suffix or '.csv'}")
+                f"{Path(out).stem}_{name}{Path(out).suffix or '.csv'}")
             path.write_text(text, newline="")
             if i > 0:
-                print(f"wrote companion table {t.name!r} to {path}", file=sys.stderr)
+                print(f"wrote companion table {name!r} to {path}", file=sys.stderr)
         else:
             if len(texts) > 1:  # csv only: json is one text
-                sys.stdout.write(f"# table: {t.name}\r\n")
+                sys.stdout.write(f"# table: {name}\r\n")
             sys.stdout.write(text)
 
 
@@ -287,30 +279,27 @@ def _parse_profile(text: str, nodes: int) -> CouplingProfile:
     raise ValueError(f"profile must be 'dipolar' or 'custom:<path>', got {text!r}")
 
 
-def _parse_n_list(args) -> list[int]:
-    if args.n_list is not None:
-        lengths = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
-        if not lengths:
-            raise ValueError(f"--n-list names no ring size: {args.n_list!r}")
-        return lengths
-    if args.n is not None:
-        return [args.n]
-    raise ValueError("provide --n or --n-list")
+def _rings(args):
+    """(nodes, profile, window) of each ring that --n or --n-list names, in
+    the order given, repeats included."""
+    lengths = [args.n] if args.n is not None else [
+        int(tok) for tok in args.n_list.split(",") if tok.strip()]
+    if not lengths:
+        raise ValueError(f"--n-list names no ring size: {args.n_list!r}")
+    for nodes in lengths:  # the profile first: its refusal comes before the window's
+        yield (nodes, _parse_profile(args.profile, nodes),
+               TimeWindow.matched(nodes) if args.t_max is None else TimeWindow(args.t_max))
 
 
-def _window(args, nodes: int) -> TimeWindow:
-    return TimeWindow.matched(nodes) if args.t_max is None else TimeWindow(args.t_max)
-
-
-def cmd_spectrum(args) -> list[Table]:
+def cmd_spectrum(args) -> dict:
     nodes = args.n
     spec = ChainSpec(nodes, max_neighbors(nodes) if args.m is None else args.m)
     profile = _parse_profile(args.profile, nodes)
     mult = mode_multiplicities(nodes)
-    return [Table("spectrum", {"mode": np.arange(1, mult.size + 1),
-                               "wave_number": wave_numbers(nodes),
-                               "eigenvalue": eigenvalue_shifts(spec, profile)[0],
-                               "multiplicity": mult})]
+    return {"spectrum": {"mode": np.arange(1, mult.size + 1),
+                         "wave_number": wave_numbers(nodes),
+                         "eigenvalue": eigenvalue_shifts(spec, profile)[0],
+                         "multiplicity": mult}}
 
 
 def _map_columns(nodes: int, surface: np.ndarray, name: str) -> dict:
@@ -320,47 +309,42 @@ def _map_columns(nodes: int, surface: np.ndarray, name: str) -> dict:
             "target": np.tile(targets, len(surface)), name: surface.ravel()}
 
 
-def cmd_probmap(args) -> list[Table]:
-    probs = probability_map(args.n, _parse_profile(args.profile, args.n), _window(args, args.n))
-    return [Table("probability", _map_columns(args.n, probs, "avg_probability"))]
+def cmd_probmap(args) -> dict:
+    probs = probability_map(*next(_rings(args)))
+    return {"probability": _map_columns(args.n, probs, "avg_probability")}
 
 
-def cmd_jmap(args) -> list[Table]:
-    errors, means = error_map(args.n, _parse_profile(args.profile, args.n), _window(args, args.n))
-    return [Table("error", _map_columns(args.n, errors, "error")),
-            Table("error_avg", {"neighbors": np.arange(1, len(means) + 1), "mean_error": means})]
+def cmd_jmap(args) -> dict:
+    errors, means = error_map(*next(_rings(args)))
+    return {"error": _map_columns(args.n, errors, "error"),
+            "error_avg": {"neighbors": np.arange(1, len(means) + 1), "mean_error": means}}
 
 
-def cmd_threshold(args) -> list[Table]:
-    lengths, results = _parse_n_list(args), []
-    for nodes in lengths:
-        profile = _parse_profile(args.profile, nodes)
-        window = _window(args, nodes)
-        results.append(accuracy_threshold(nodes, profile, args.epsilon, window))
+def cmd_threshold(args) -> dict:
+    lengths, results = zip(*[(nodes, accuracy_threshold(nodes, profile, args.epsilon, window))
+                             for nodes, profile, window in _rings(args)])
     worst = [r.max_error_per_m for r in results]
-    return [
-        Table("threshold", {"nodes": lengths,
-                            "min_neighbors": [r.min_neighbors for r in results]}),
-        Table("audit", {"nodes": np.repeat(lengths, [w.size for w in worst]),
-                        "neighbors": np.concatenate([np.arange(1, w.size + 1) for w in worst]),
-                        "max_error": np.concatenate(worst)}),
-    ]
+    return {
+        "threshold": {"nodes": lengths,
+                      "min_neighbors": [r.min_neighbors for r in results]},
+        "audit": {"nodes": np.repeat(lengths, [w.size for w in worst]),
+                  "neighbors": np.concatenate([np.arange(1, w.size + 1) for w in worst]),
+                  "max_error": np.concatenate(worst)},
+    }
 
 
-def cmd_fit(args) -> list[Table]:
+def cmd_fit(args) -> dict:
     rows = []
-    for nodes in _parse_n_list(args):
+    for nodes, profile, window in _rings(args):
         nf = max_neighbors(nodes)
         if nf - 2 < 5:
             raise ValueError(f"chain of {nodes} nodes is too short to fit (need >= 5 points)")
-        profile = _parse_profile(args.profile, nodes)
-        window = _window(args, nodes)
         _, means = error_map(nodes, profile, window)
         # radii 2..nf-1: the last radius is the reference, with zero error
-        fit = fit_scale(means[1 : nf - 1], state_error(nodes, profile, window)[1 : nf - 1])
-        rows.append((nodes, window.t_max, 2, nf - 1, fit.kappa, fit.rms))
+        kappa, rms = fit_scale(means[1 : nf - 1], state_error(nodes, profile, window)[1 : nf - 1])
+        rows.append((nodes, window.t_max, 2, nf - 1, kappa, rms))
     names = ("nodes", "t_max", "first_neighbors", "last_neighbors", "kappa", "rms")
-    return [Table("fit", dict(zip(names, zip(*rows))))]
+    return {"fit": dict(zip(names, zip(*rows)))}
 
 
 def cmd_validate(args) -> int:
@@ -393,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     single.add_argument("--n", type=int, required=True, help="ring size")
 
     multi = argparse.ArgumentParser(add_help=False)
-    lengths = multi.add_mutually_exclusive_group()
+    lengths = multi.add_mutually_exclusive_group(required=True)
     lengths.add_argument("--n", type=int, default=None, help="single ring size")
     lengths.add_argument("--n-list", default=None, help="comma-separated ring sizes")
 

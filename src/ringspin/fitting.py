@@ -12,23 +12,14 @@ rings give kappa within 0.3% of 1 at 20 <= N <= 560, T = N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["ScaleFit", "fit_scale"]
+__all__ = ["fit_scale"]
 
 
-@dataclass(frozen=True)
-class ScaleFit:
-    """The scale kappa of means ~ kappa * curve and the rms residual."""
-
-    kappa: float
-    rms: float
-
-
-def fit_scale(means, curve) -> ScaleFit:
-    """Least-squares kappa of means ~ kappa * curve, pointwise over radii.
+def fit_scale(means, curve) -> tuple[float, float]:
+    """(kappa, rms): the least-squares kappa of means ~ kappa * curve,
+    pointwise over radii, and the rms of the residuals.
 
     Both inputs are equally long, finite and non-negative, and the curve is
     not zero at every radius (nor empty): there kappa would be 0/0.
@@ -45,4 +36,4 @@ def fit_scale(means, curve) -> ScaleFit:
     if power == 0.0:
         raise ValueError("the error curve is zero at every fitted radius: no scale to fit")
     kappa = float(m @ e) / power
-    return ScaleFit(kappa=kappa, rms=float(np.sqrt(np.mean((m - kappa * e) ** 2))))
+    return kappa, float(np.sqrt(np.mean((m - kappa * e) ** 2)))

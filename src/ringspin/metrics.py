@@ -502,7 +502,11 @@ def probability_map(
         pairs = _PairKernels(nodes, window.t_max, shifts.shape[0])
         tables = pairs.tables(lam_ref + shifts, np.cos, mode_multiplicities(nodes) / nodes)
         forms = pairs.map(pairs.t_max, tables, pairs.probability, pairs.probability_near)
-    return _finite(np.maximum(forms, 0.0) / window.t_max)
+    # a form rounds by up to modes eps T (`_mode_errors`): clipped within it, refused below
+    if (_finite(forms) < -pairs.modes * _EPS * window.t_max).any():
+        raise ValueError("negative transfer probability: the window integrals "
+                         "lost their precision")
+    return np.maximum(forms, 0.0) / window.t_max
 
 
 def error_map(

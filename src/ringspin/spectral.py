@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingProfile, max_neighbors
+from .chain import ChainSpec, CouplingProfile, _radius_ratios, max_neighbors
 
 __all__ = [
     "eigenvalue_shifts",
@@ -81,11 +81,7 @@ def _eigenvalue_terms(spec: ChainSpec, profile: CouplingProfile) -> np.ndarray:
     an even ring the j = N/2 term is halved: the opposite node is a single
     neighbour, not a pair.  Callers sum the terms under np.errstate and
     check the sums, so an overflow is refused as a profile error."""
-    if len(profile) < spec.neighbors:
-        raise ValueError(
-            f"profile has {len(profile)} couplings but neighbors={spec.neighbors}"
-        )
-    twice = 2.0 * np.array(profile.ratios[: spec.neighbors])
+    twice = 2.0 * np.array(_radius_ratios(spec, profile))
     if 2 * spec.neighbors == spec.nodes:
         twice[-1] *= 0.5
     j = np.arange(1, spec.neighbors + 1)

@@ -168,17 +168,17 @@ def test_criterion_8_error_surface_shape():
 
 def test_criterion_9_fit_pipeline():
     curve = 0.3 / np.arange(2.0, 21.0) ** 2
-    synthetic = fit_scale(1.25 * curve, curve)
-    synthetic_ok = abs(synthetic.kappa - 1.25) <= 1e-15 and synthetic.rms < 1e-10
+    synthetic_kappa, synthetic_rms = fit_scale(1.25 * curve, curve)
+    synthetic_ok = abs(synthetic_kappa - 1.25) <= 1e-15 and synthetic_rms < 1e-10
 
     rms_ok = kappa_ok = True
-    details = [f"synthetic kappa {synthetic.kappa!r}, rms {synthetic.rms:.1e}"]
+    details = [f"synthetic kappa {synthetic_kappa!r}, rms {synthetic_rms:.1e}"]
     for nodes, bound in FIT_RMS_BOUNDS.items():
         nf = max_neighbors(nodes)
         profile, window = dipolar_ratios(nodes), TimeWindow.matched(nodes)
         _, means = error_map(nodes, profile, window)
-        fit = fit_scale(means[1 : nf - 1], state_error(nodes, profile, window)[1 : nf - 1])
-        details.append(f"N={nodes} kappa {fit.kappa:.4f}, rms {fit.rms:.2e} (bound {bound:g})")
-        rms_ok &= fit.rms < bound
-        kappa_ok &= abs(fit.kappa - 1.0) <= 0.01
+        kappa, rms = fit_scale(means[1 : nf - 1], state_error(nodes, profile, window)[1 : nf - 1])
+        details.append(f"N={nodes} kappa {kappa:.4f}, rms {rms:.2e} (bound {bound:g})")
+        rms_ok &= rms < bound
+        kappa_ok &= abs(kappa - 1.0) <= 0.01
     report(9, synthetic_ok and rms_ok and kappa_ok, "; ".join(details))

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringspin import cli
 from ringspin.chain import dipolar_ratios, max_neighbors
-from ringspin.cli import Table, _body, _build_parser, _emit, main
+from ringspin.cli import _body, _build_parser, _emit, main
 from ringspin.fitting import fit_scale
 from ringspin.metrics import MIN_T_MAX, TimeWindow, accuracy_threshold, error_map, state_error
 from ringspin.spectral import mode_multiplicities
@@ -153,6 +153,18 @@ class TestThresholdCommand:
         _, rows = read_csv(out)
         assert [r[0] for r in rows] == ["8", "10"]
 
+    def test_n_list_keeps_order_and_repeats(self, capsys):
+        # a repeated length is computed again, in place, in both tables
+        assert run(["threshold", "--n-list", "20,36,20", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rows = payload["threshold"]["rows"]
+        assert [row[0] for row in rows] == [20, 36, 20]
+        assert rows[0] == rows[2]
+        audit = payload["audit"]["rows"]
+        assert [row[:2] for row in audit] == [[n, m] for n in (20, 36, 20)
+                                              for m in range(1, n // 2 + 1)]
+        assert audit[:10] == audit[-10:]
+
     def test_missing_n_is_bad_config(self):
         assert run(["threshold"]) == 2
 
@@ -164,11 +176,11 @@ class TestFitCommand:
         header, rows = read_csv(out)
         assert header == ["nodes", "t_max", "first_neighbors", "last_neighbors", "kappa", "rms"]
         profile, window = dipolar_ratios(20), TimeWindow.matched(20)
-        fit = fit_scale(error_map(20, profile, window)[1][1:9],
-                        state_error(20, profile, window)[1:9])
-        assert rows == [["20", "20", "2", "9", format(fit.kappa, ".15g"),
-                         format(fit.rms, ".15g")]]
-        assert fit.rms < 0.01
+        kappa, rms = fit_scale(error_map(20, profile, window)[1][1:9],
+                               state_error(20, profile, window)[1:9])
+        assert rows == [["20", "20", "2", "9", format(kappa, ".15g"),
+                         format(rms, ".15g")]]
+        assert rms < 0.01
 
     def test_short_window_fit_runs_clean(self, capsys):
         """At T = 1 the relative errors of the far targets dwarf the state
@@ -232,8 +244,8 @@ class TestOutputFormats:
         values = [0.0, -0.0, 3.0, -2.9999999999999996, 0.1, 1e-300,
                   123456789012345.0, 999999999999999.9, 1e16, 1.797693134862315e308]
         columns = {"k": range(len(values)), "x": values, "y": values}
-        _emit([Table("t", columns)], "json", str(tmp_path / "t.json"))
-        _emit([Table("t", columns)], "csv", str(tmp_path / "t.csv"))
+        _emit({"t": columns}, "json", str(tmp_path / "t.json"))
+        _emit({"t": columns}, "csv", str(tmp_path / "t.csv"))
         parsed = json.loads((tmp_path / "t.json").read_text())["t"]["rows"]
         _, csv_rows = read_csv(tmp_path / "t.csv")
         for v, json_row, csv_row in zip(values, parsed, csv_rows, strict=True):
@@ -257,10 +269,9 @@ class TestOutputFormats:
             values = data.draw(st.lists(INTS if kind is int else TEXT_FLOATS,
                                         min_size=rows, max_size=rows))
             columns[f"c{j}"] = np.array(values, dtype=kind) if data.draw(st.booleans()) else values
-        table = Table("t", columns)
         cells = {fmt: [[reference_cell(v, kind, fmt) for kind, v in zip(kinds, row)]
                        for row in zip(*columns.values())] for fmt in ("csv", "json")}
-        csv_text, json_text = _body(table, "csv"), _body(table, "json")
+        csv_text, json_text = _body("t", columns, "csv"), _body("t", columns, "json")
         assert csv_text == "".join(",".join(row) + "\r\n" for row in cells["csv"])
         assert json_text == ",\n".join("[" + ", ".join(row) + "]" for row in cells["json"])
         expected = [[kind(text) for kind, text in zip(kinds, row)] for row in cells["csv"]]
@@ -327,7 +338,7 @@ class TestArrayTables:
     def test_each_float_matches_percent(self, fmt):
         x = float_cases(np.random.default_rng(2024))
         assert x.size >= 100_000
-        body = _body(Table("t", {"x": x}), fmt)
+        body = _body("t", {"x": x}, fmt)
         if fmt == "csv":
             lines = body.split("\r\n")[:-1]
         else:
@@ -351,12 +362,11 @@ class TestArrayTables:
             "listed": tuple(rng.choice(x, rows).tolist()),
             "single": rng.choice(x[np.abs(x) < 3e38], rows).astype(np.float32),
         }
-        table = Table("t", columns)
         for fmt in ("csv", "json"):
             monkeypatch.setattr(cli, "_ARRAY_ROWS", 1)
-            array = _body(table, fmt)
+            array = _body("t", columns, fmt)
             monkeypatch.setattr(cli, "_ARRAY_ROWS", 10**9)
-            assert array == _body(table, fmt), (rows, fmt)
+            assert array == _body("t", columns, fmt), (rows, fmt)
 
     def test_large_map_bytes(self, tmp_path):
         # a map on the array route, written to files in both formats
@@ -497,11 +507,14 @@ class TestBadConfig:
 
     @pytest.mark.parametrize("command", ["threshold", "fit"])
     def test_n_and_n_list_are_exclusive(self, capsys, command):
-        # neither length may be dropped silently in favour of the other
-        assert run([command, "--n", "20", "--n-list", "36"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "not allowed with argument" in captured.err
+        # neither length may be dropped silently in favour of the other, and
+        # one of them must be given
+        for lengths, message in [(["--n", "20", "--n-list", "36"], "not allowed with argument"),
+                                 ([], "one of the arguments --n --n-list is required")]:
+            assert run([command, *lengths]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
     def test_infinite_window(self):
         assert run(["jmap", "--n", "8", "--t-max", "inf", "--format", "json"]) == 2
@@ -510,11 +523,11 @@ class TestBadConfig:
         # 1.7976931348623157e308 prints as 1.79769313486232e+308, which reads as inf
         for bad in (math.nan, math.inf, -math.inf, 1.7976931348623157e308):
             for fmt in ("csv", "json"):
-                table = Table("t", {"k": [1, 2, 3], "x": [0.5, bad, 0.25]})
+                table = {"k": [1, 2, 3], "x": [0.5, bad, 0.25]}
                 with pytest.raises(ValueError, match="not finite"):
-                    _emit([table], fmt, None)
+                    _emit({"t": table}, fmt, None)
                 with pytest.raises(ValueError, match="not finite"):
-                    _emit([Table("ok", {"x": [1.0]}), table], fmt, str(tmp_path / "t"))
+                    _emit({"ok": {"x": [1.0]}, "t": table}, fmt, str(tmp_path / "t"))
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -546,6 +559,21 @@ class TestBadConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "negative" in captured.err
+
+    def test_negative_probability_is_refused(self, monkeypatch, capsys):
+        # a form far below the rounding bound is refused, not clipped to 0
+        import ringspin.metrics
+        kernel = ringspin.metrics._PairKernels.probability
+
+        def negative(self, tables, chunk):
+            values, poles = kernel(self, tables, chunk)
+            return values - 10.0 * self.t_max, poles
+
+        monkeypatch.setattr(ringspin.metrics._PairKernels, "probability", negative)
+        assert run(["probmap", "--n", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative transfer probability" in captured.err
 
     @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "1e-12", "100", "20"])
     def test_bad_quadrature_step(self, capsys, step):

@@ -88,6 +88,25 @@ class TestAvgProbability:
         assert int(mult.sum()) == nodes
         np.testing.assert_allclose(probs @ mult, 1.0, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("scale, refused", [(0.5, False), (2.0, True)])
+    def test_negative_form_is_clipped_only_within_its_rounding(self, monkeypatch, scale,
+                                                               refused):
+        """A form less than modes eps T below 0 is rounding and reads 0; one
+        further below is refused, not clipped."""
+        nodes, window = 8, TimeWindow(8.0)
+        expected = probability_map(nodes, dipolar_ratios(nodes), window)
+        forms = expected * window.t_max  # exact: T is a power of two
+        bound = mode_count(nodes) * np.finfo(float).eps * window.t_max
+        forms[2, 1] = -scale * bound
+        monkeypatch.setattr(_PairKernels, "map", lambda self, *args: forms.copy())
+        if refused:
+            with pytest.raises(ValueError, match="negative transfer probability"):
+                probability_map(nodes, dipolar_ratios(nodes), window)
+        else:
+            expected[2, 1] = 0.0
+            np.testing.assert_array_equal(
+                probability_map(nodes, dipolar_ratios(nodes), window), expected)
+
 
 class TestTruncationError:
     def test_zero_at_full_range(self):

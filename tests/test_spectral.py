@@ -186,8 +186,7 @@ class TestSpectrumAccuracy:
     @staticmethod
     def spectrum_column(*argv) -> np.ndarray:
         args = _build_parser().parse_args(["spectrum", *argv])
-        (table,) = args.func(args)
-        return np.asarray(table.columns["eigenvalue"])
+        return np.asarray(args.func(args)["spectrum"]["eigenvalue"])
 
     @pytest.mark.parametrize("nodes", [10, 13, 20, 36, 70, 71, 140, 280])
     def test_every_radius_within_two_eps_of_exact_sum(self, nodes):
